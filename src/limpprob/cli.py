@@ -16,8 +16,9 @@ CSV schema (exact column order)::
     protocol,n,r_or_b,metric,source,value,ci_low,ci_high,trials,seed
 
 Analytic rows leave ci_low/ci_high/trials/seed empty; values carry 12
-significant digits; rows are sorted by (protocol, n, r_or_b, source).  Files
-are written atomically (temp file, then rename).
+significant digits; rows are sorted by (protocol, n, r_or_b, source, metric),
+with an empty r_or_b first.  Files are written atomically (temp file, then
+rename).
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ DEFAULTS = {
     "out": None,
 }
 
+_COMMAND_DEFAULTS = {"compare": {"nodes": "10,30,50", "requests": "1,10,100"}}
 _BLOCK_FACTORS = (1, 10, 50)
 _FIGURE_BLOCK_FACTORS = (1, 5, 10, 50)
 _FIGURE_ANCHOR = (100, 3200)  # the 20%-full 1TB node data point
@@ -83,33 +85,34 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _breakdown(n: int, b: int) -> model.BlockDegradeBreakdown:
+    return model.block_degrade_breakdown(RegenParams(n, b))
+
+
+# metric -> closed form of (n, v), where v is r or b depending on the metric
+_ANALYTIC = {
+    "read_degrade": lambda n, r: model.read_degrade_prob(ClusterParams(n)),
+    "read_user_degrade": lambda n, r: model.read_user_degrade_prob(ClusterParams(n), WorkloadParams(r)),
+    "write_degrade": lambda n, r: model.write_degrade_prob(ClusterParams(n)),
+    "write_user_degrade": lambda n, r: model.write_user_degrade_prob(ClusterParams(n), WorkloadParams(r)),
+    NODE_DEGRADE: lambda n, b: model.node_degrade_prob(RegenParams(n, b)),
+    CLUSTER_DEGRADE: lambda n, b: model.cluster_degrade_prob(RegenParams(n, b)),
+    BLOCK_DEGRADE: lambda n, b: _breakdown(n, b).total,
+    "block_degrade_both": lambda n, b: _breakdown(n, b).both_on_degraded,
+    "block_degrade_one_slow": lambda n, b: _breakdown(n, b).one_on_slow,
+    ANY_BLOCK_DEGRADE: lambda n, b: model.any_block_degrade_prob(RegenParams(n, b)),
+}
+
+
 def analytic_value(metric: str, n: int, v: int | None) -> float:
     """Evaluate one analytic metric; v is r or b depending on the metric."""
+    if metric not in _ANALYTIC:
+        raise InvalidParamsError(f"unknown metric {metric!r}")
     with warnings.catch_warnings():
         # sweeps intentionally cover low-load regimes; the API-level warning
         # stays for programmatic users
         warnings.simplefilter("ignore", LowLoadWarning)
-        if metric == "read_degrade":
-            return model.read_degrade_prob(ClusterParams(n))
-        if metric == "read_user_degrade":
-            return model.read_user_degrade_prob(ClusterParams(n), WorkloadParams(v))
-        if metric == "write_degrade":
-            return model.write_degrade_prob(ClusterParams(n))
-        if metric == "write_user_degrade":
-            return model.write_user_degrade_prob(ClusterParams(n), WorkloadParams(v))
-        if metric == NODE_DEGRADE:
-            return model.node_degrade_prob(RegenParams(n, v))
-        if metric == CLUSTER_DEGRADE:
-            return model.cluster_degrade_prob(RegenParams(n, v))
-        if metric == BLOCK_DEGRADE:
-            return model.block_degrade_breakdown(RegenParams(n, v)).total
-        if metric == "block_degrade_both":
-            return model.block_degrade_breakdown(RegenParams(n, v)).both_on_degraded
-        if metric == "block_degrade_one_slow":
-            return model.block_degrade_breakdown(RegenParams(n, v)).one_on_slow
-        if metric == ANY_BLOCK_DEGRADE:
-            return model.any_block_degrade_prob(RegenParams(n, v))
-    raise InvalidParamsError(f"unknown metric {metric!r}")
+        return _ANALYTIC[metric](n, v)
 
 
 def _regen_b_total(n: int, b: int) -> int:
@@ -120,36 +123,22 @@ def _regen_b_total(n: int, b: int) -> int:
 class _SimCache:
     """Deduplicates simulation runs within one command invocation."""
 
-    def __init__(self, trials: int, seed: int, workers: int, sim: str):
-        self.trials = trials
-        self.seed = seed
-        self.workers = workers
-        self.sim = sim
+    def __init__(self, cfg: dict):
+        self.sim = cfg["sim"]
+        self._run_args = (cfg["trials"], cfg["seed"], cfg["workers"])
         self._runs: dict = {}
 
-    def regen(self, n: int, b: int) -> dict[str, EstimateSummary]:
-        key = (self.sim, n, b)
-        if key not in self._runs:
-            if self.sim == "protocol":
-                self._runs[key] = run_protocol_trials(
-                    n, _regen_b_total(n, b), self.trials, self.seed, self.workers
-                )
-            else:
-                self._runs[key] = run_assumption_trials(
-                    RegenParams(n, b), self.trials, self.seed, self.workers
-                )
-        return self._runs[key]
-
-    def rw(self, protocol: str, n: int, r: int) -> EstimateSummary:
-        key = (protocol, n, r)
-        if key not in self._runs:
-            self._runs[key] = run_rw_trials(protocol, n, r, self.trials, self.seed, self.workers)
-        return self._runs[key]
-
     def estimate(self, protocol: str, metric: str, n: int, v: int) -> EstimateSummary:
-        if protocol in ("read", "write"):
-            return self.rw(protocol, n, v)
-        return self.regen(n, v)[metric]
+        rw = protocol in ("read", "write")
+        key = (protocol if rw else "regen", n, v)
+        if key not in self._runs:
+            if rw:
+                self._runs[key] = run_rw_trials(protocol, n, v, *self._run_args)
+            elif self.sim == "protocol":
+                self._runs[key] = run_protocol_trials(n, _regen_b_total(n, v), *self._run_args)
+            else:
+                self._runs[key] = run_assumption_trials(RegenParams(n, v), *self._run_args)
+        return self._runs[key] if rw else self._runs[key][metric]
 
 
 @dataclass
@@ -164,6 +153,13 @@ class Row:
     ci_high: float | None = None
     trials: int | None = None
     seed: int | None = None
+
+    @classmethod
+    def simulated(cls, protocol: str, n: int, v: int | None, metric: str, est: EstimateSummary, seed: int) -> "Row":
+        return cls(
+            protocol, n, v, metric, "simulated", est.point_estimate,
+            est.ci_low, est.ci_high, est.trials, seed,
+        )
 
     def render(self) -> str:
         return ",".join(
@@ -208,35 +204,28 @@ def _write_csv(path: str, rows: list[Row]) -> None:
 
 
 def _parse_nodes(text) -> list[int]:
-    """Accepts 'A..B:S', 'A..B', 'A' or a comma list 'A,B,C'."""
-    if isinstance(text, int):
-        return [text]
-    text = str(text).strip()
-    try:
-        if ".." in text:
-            span, _, stride_s = text.partition(":")
-            lo_s, _, hi_s = span.partition("..")
+    """Accepts a range 'A..B:S' or 'A..B', or anything :func:`_parse_int_list` takes."""
+    if isinstance(text, str) and ".." in text:
+        span, _, stride_s = text.strip().partition(":")
+        lo_s, _, hi_s = span.partition("..")
+        try:
             lo, hi = int(lo_s), int(hi_s)
             stride = int(stride_s) if stride_s else 1
-            if stride < 1 or hi < lo:
-                raise InvalidParamsError(f"bad node range {text!r}")
-            return list(range(lo, hi + 1, stride))
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise InvalidParamsError(f"bad node spec {text!r}: {exc}") from exc
-    if not values:
-        raise InvalidParamsError(f"empty node list {text!r}")
-    return values
+        except ValueError as exc:
+            raise InvalidParamsError(f"bad node spec {text!r}: {exc}") from exc
+        if stride < 1 or hi < lo:
+            raise InvalidParamsError(f"bad node range {text!r}")
+        return list(range(lo, hi + 1, stride))
+    return _parse_int_list(text, "nodes")
 
 
 def _parse_int_list(text, what: str) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        values = [int(v) for v in text]
-    else:
-        try:
-            values = [int(part) for part in str(text).split(",") if part.strip()]
-        except ValueError as exc:
-            raise InvalidParamsError(f"bad {what} list {text!r}: {exc}") from exc
+    """Accepts an int, a comma list 'A,B,C' or a JSON list."""
+    parts = text if isinstance(text, (list, tuple)) else [p for p in str(text).split(",") if p.strip()]
+    try:
+        values = [int(v) for v in parts]
+    except (TypeError, ValueError) as exc:
+        raise InvalidParamsError(f"bad {what} list {text!r}: {exc}") from exc
     if not values:
         raise InvalidParamsError(f"empty {what} list {text!r}")
     if any(v < 0 for v in values):
@@ -262,26 +251,18 @@ def _load_config(path: str) -> dict:
 
 
 def _effective(args: argparse.Namespace, command_defaults: dict | None = None) -> dict:
-    """Merge CLI > config file > defaults."""
-    defaults = dict(DEFAULTS)
-    if command_defaults:
-        defaults.update(command_defaults)
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
+    """Merge CLI > config file > defaults; protocol and figure have no default."""
+    defaults = {**DEFAULTS, **(command_defaults or {})}
+    config = _load_config(args.config) if args.config else {}
     merged = {}
-    for key, default in defaults.items():
+    for key in [*defaults, "protocol", "figure"]:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             merged[key] = cli_value
         elif key in config:
             merged[key] = config[key]
-        else:
-            merged[key] = default
-    for key in ("protocol", "figure"):
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in config:
-            merged[key] = config[key]
+        elif key in defaults:
+            merged[key] = defaults[key]
     merged["trials"] = int(merged["trials"])
     merged["seed"] = int(merged["seed"]) & ((1 << 64) - 1)
     merged["workers"] = int(merged["workers"])
@@ -297,84 +278,68 @@ def _effective(args: argparse.Namespace, command_defaults: dict | None = None) -
     return merged
 
 
-def _maybe_show_config(args: argparse.Namespace, effective: dict) -> bool:
-    if getattr(args, "show_config", False):
-        print(json.dumps(effective, indent=2, sort_keys=True))
-        return True
-    return False
+def _check_protocol(name) -> str:
+    if name not in PROTOCOLS:
+        raise InvalidParamsError(f"--protocol must be one of {sorted(PROTOCOLS)}, got {name!r}")
+    return name
 
 
-def _grid_values(cfg: dict, protocol: str, n: int) -> list[int]:
-    kind = PROTOCOLS[protocol][0]
-    if kind == "r":
-        return _parse_int_list(cfg["requests"], "requests")
-    return _blocks_for(n, cfg["blocks"])
+def _grid(cfg: dict, protocol: str):
+    """Yield the (n, r_or_b) points of the configured grid for one protocol."""
+    for n in _parse_nodes(cfg["nodes"]):
+        if PROTOCOLS[protocol][0] == "r":
+            values = _parse_int_list(cfg["requests"], "requests")
+        else:
+            values = _blocks_for(n, cfg["blocks"])
+        for v in values:
+            yield n, v
 
 
-def cmd_model(args: argparse.Namespace) -> int:
-    cfg = _effective(args)
-    if _maybe_show_config(args, cfg):
-        return 0
-    protocol = cfg.get("protocol")
-    if protocol not in PROTOCOLS:
-        raise InvalidParamsError(f"--protocol must be one of {sorted(PROTOCOLS)}, got {protocol!r}")
+def _point_rows(cfg: dict, cache: _SimCache, protocol: str, metric: str, n: int, v: int | None) -> list[Row]:
+    """The analytic and/or simulated rows that cfg["mode"] asks for at one point."""
+    rows = []
+    if cfg["mode"] in ("analytic", "both"):
+        rows.append(Row(protocol, n, v, metric, "analytic", analytic_value(metric, n, v)))
+    # only a protocol's headline metric has a sampler
+    if cfg["mode"] in ("simulate", "both") and metric == PROTOCOLS[protocol][1]:
+        est = cache.estimate(protocol, metric, n, v)
+        rows.append(Row.simulated(protocol, n, v, metric, est, cfg["seed"]))
+    return rows
+
+
+def cmd_model(cfg: dict) -> int:
+    protocol = _check_protocol(cfg.get("protocol"))
     nodes = _parse_nodes(cfg["nodes"])
     if len(nodes) != 1:
         raise InvalidParamsError("model needs exactly one --nodes value")
     n = nodes[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowLoadWarning)
-        if protocol in ("read", "write"):
-            per_request = analytic_value(f"{protocol}_degrade", n, None)
-            print(f"{protocol}_degrade = {_fmt(per_request)}")
-            for r in _parse_int_list(cfg["requests"], "requests"):
-                value = analytic_value(f"{protocol}_user_degrade", n, r)
-                print(f"{protocol}_user_degrade[r={r}] = {_fmt(value)}")
-        else:
-            for b in _blocks_for(n, cfg["blocks"]):
-                regen = RegenParams(n, b)
-                print(f"regen_load[b={b}] = {_fmt(model.regen_load(regen))}")
-                print(f"slow_dest_prob[b={b}] = {_fmt(model.slow_dest_prob(regen))}")
-                metric = PROTOCOLS[protocol][1]
-                if protocol == "regen-block":
-                    split = model.block_degrade_breakdown(regen)
-                    print(f"block_degrade_both[b={b}] = {_fmt(split.both_on_degraded)}")
-                    print(f"block_degrade_one_slow[b={b}] = {_fmt(split.one_on_slow)}")
-                    print(f"block_degrade[b={b}] = {_fmt(split.total)}")
-                else:
-                    print(f"{metric}[b={b}] = {_fmt(analytic_value(metric, n, b))}")
+    if protocol in ("read", "write"):
+        per_request = analytic_value(f"{protocol}_degrade", n, None)
+        print(f"{protocol}_degrade = {_fmt(per_request)}")
+        for r in _parse_int_list(cfg["requests"], "requests"):
+            value = analytic_value(f"{protocol}_user_degrade", n, r)
+            print(f"{protocol}_user_degrade[r={r}] = {_fmt(value)}")
+        return 0
+    if protocol == "regen-block":
+        metrics = ["block_degrade_both", "block_degrade_one_slow", BLOCK_DEGRADE]
+    else:
+        metrics = [PROTOCOLS[protocol][1]]
+    for b in _blocks_for(n, cfg["blocks"]):
+        regen = RegenParams(n, b)
+        print(f"regen_load[b={b}] = {_fmt(model.regen_load(regen))}")
+        print(f"slow_dest_prob[b={b}] = {_fmt(model.slow_dest_prob(regen))}")
+        for metric in metrics:
+            print(f"{metric}[b={b}] = {_fmt(analytic_value(metric, n, b))}")
     return 0
 
 
-def _sweep_rows(cfg: dict, protocol: str) -> list[Row]:
-    metric = PROTOCOLS[protocol][1]
-    rows = []
-    cache = _SimCache(cfg["trials"], cfg["seed"], cfg["workers"], cfg["sim"])
-    for n in _parse_nodes(cfg["nodes"]):
-        for v in _grid_values(cfg, protocol, n):
-            if cfg["mode"] in ("analytic", "both"):
-                rows.append(Row(protocol, n, v, metric, "analytic", analytic_value(metric, n, v)))
-            if cfg["mode"] in ("simulate", "both"):
-                est = cache.estimate(protocol, metric, n, v)
-                rows.append(
-                    Row(
-                        protocol, n, v, metric, "simulated", est.point_estimate,
-                        est.ci_low, est.ci_high, est.trials, cfg["seed"],
-                    )
-                )
-    return rows
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _effective(args)
-    if _maybe_show_config(args, cfg):
-        return 0
-    protocol = cfg.get("protocol")
-    if protocol not in PROTOCOLS:
-        raise InvalidParamsError(f"--protocol must be one of {sorted(PROTOCOLS)}, got {protocol!r}")
+def cmd_sweep(cfg: dict) -> int:
+    protocol = _check_protocol(cfg.get("protocol"))
     if not cfg["out"]:
         raise InvalidParamsError("sweep needs --out PATH")
-    rows = _sweep_rows(cfg, protocol)
+    metric = PROTOCOLS[protocol][1]
+    cache = _SimCache(cfg)
+    rows = [row for n, v in _grid(cfg, protocol) for row in _point_rows(cfg, cache, protocol, metric, n, v)]
     _write_csv(cfg["out"], rows)
     print(f"wrote {len(rows)} rows to {cfg['out']}")
     return 0
@@ -383,11 +348,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _compare_protocols(cfg: dict) -> list[str]:
     raw = cfg.get("protocol")
     if raw:
-        names = [p.strip() for p in str(raw).split(",") if p.strip()]
-        for name in names:
-            if name not in PROTOCOLS:
-                raise InvalidParamsError(f"unknown protocol {name!r}")
-        return names
+        return [_check_protocol(p.strip()) for p in str(raw).split(",") if p.strip()]
     if cfg["sim"] == "protocol":
         # the closed form for "at least one degraded block" assumes blocks
         # degrade independently; full protocol replays expose that assumption,
@@ -396,33 +357,24 @@ def _compare_protocols(cfg: dict) -> list[str]:
     return list(PROTOCOLS)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {"nodes": "10,30,50", "requests": "1,10,100"})
-    if _maybe_show_config(args, cfg):
-        return 0
+def cmd_compare(cfg: dict) -> int:
     protocols = _compare_protocols(cfg)
-    cache = _SimCache(cfg["trials"], cfg["seed"], cfg["workers"], cfg["sim"])
+    cache = _SimCache(cfg)
     tolerance = cfg["tolerance"]
     rows: list[Row] = []
     table: list[tuple] = []
     failures = 0
     for protocol in protocols:
         metric = PROTOCOLS[protocol][1]
-        for n in _parse_nodes(cfg["nodes"]):
-            for v in _grid_values(cfg, protocol, n):
-                analytic = analytic_value(metric, n, v)
-                est = cache.estimate(protocol, metric, n, v)
-                gap = abs(analytic - est.point_estimate)
-                ok = gap <= tolerance or est.ci_low <= analytic <= est.ci_high
-                failures += not ok
-                table.append((protocol, n, v, metric, analytic, est, gap, ok))
-                rows.append(Row(protocol, n, v, metric, "analytic", analytic))
-                rows.append(
-                    Row(
-                        protocol, n, v, metric, "simulated", est.point_estimate,
-                        est.ci_low, est.ci_high, est.trials, cfg["seed"],
-                    )
-                )
+        for n, v in _grid(cfg, protocol):
+            analytic = analytic_value(metric, n, v)
+            est = cache.estimate(protocol, metric, n, v)
+            gap = abs(analytic - est.point_estimate)
+            ok = gap <= tolerance or est.ci_low <= analytic <= est.ci_high
+            failures += not ok
+            table.append((protocol, n, v, metric, analytic, est, gap, ok))
+            rows.append(Row(protocol, n, v, metric, "analytic", analytic))
+            rows.append(Row.simulated(protocol, n, v, metric, est, cfg["seed"]))
     header = f"{'protocol':<16}{'n':>5}{'r_or_b':>8}  {'metric':<20}{'analytic':>12}{'estimate':>12}{'gap':>10}  status"
     print(header)
     print("-" * len(header))
@@ -442,23 +394,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _figure_panels(cfg: dict, figure: str) -> dict[str, list[Row]]:
     nodes = _parse_nodes(cfg["nodes"])
     requests = _parse_int_list(cfg["requests"], "requests")
-    simulate = cfg["mode"] in ("simulate", "both")
-    analytic = cfg["mode"] in ("analytic", "both")
-    cache = _SimCache(cfg["trials"], cfg["seed"], cfg["workers"], cfg["sim"])
+    cache = _SimCache(cfg)
     panels: dict[str, list[Row]] = {}
 
-    def add(panel: str, protocol: str, metric: str, n: int, v: int | None, sim_metric: str | None = None):
-        rows = panels.setdefault(panel, [])
-        if analytic:
-            rows.append(Row(protocol, n, v, metric, "analytic", analytic_value(metric, n, v)))
-        if simulate and sim_metric is not None:
-            est = cache.estimate(protocol, sim_metric, n, v)
-            rows.append(
-                Row(
-                    protocol, n, v, metric, "simulated", est.point_estimate,
-                    est.ci_low, est.ci_high, est.trials, cfg["seed"],
-                )
-            )
+    def add(panel: str, protocol: str, metric: str, n: int, v: int | None):
+        panels.setdefault(panel, []).extend(_point_rows(cfg, cache, protocol, metric, n, v))
 
     if figure in ("read", "write"):
         protocol = figure
@@ -468,38 +408,26 @@ def _figure_panels(cfg: dict, figure: str) -> dict[str, list[Row]]:
         for n in nodes:
             add(f"{protocol}_request_prob", protocol, f"{protocol}_degrade", n, None)
             for r in sorted(user_requests):
-                add(
-                    f"{protocol}_user_prob", protocol, f"{protocol}_user_degrade", n, r,
-                    sim_metric=PROTOCOLS[protocol][1],
-                )
-    elif figure == "node-cluster":
-        points = [(n, b) for n in nodes for b in _blocks_for(n, cfg["blocks"], _FIGURE_BLOCK_FACTORS)]
-        if _FIGURE_ANCHOR not in points:
-            points.append(_FIGURE_ANCHOR)
-        for n, b in points:
-            add("node_degrade_prob", "regen-node", NODE_DEGRADE, n, b, sim_metric=NODE_DEGRADE)
-            add("cluster_degrade_prob", "regen-cluster", CLUSTER_DEGRADE, n, b, sim_metric=CLUSTER_DEGRADE)
-    elif figure == "block":
-        points = [(n, b) for n in nodes for b in _blocks_for(n, cfg["blocks"], _FIGURE_BLOCK_FACTORS)]
-        if _FIGURE_ANCHOR not in points:
-            points.append(_FIGURE_ANCHOR)
-        for n, b in points:
-            add("block_degrade_prob", "regen-block", BLOCK_DEGRADE, n, b, sim_metric=BLOCK_DEGRADE)
+                add(f"{protocol}_user_prob", protocol, f"{protocol}_user_degrade", n, r)
+        return panels
+    if figure not in ("node-cluster", "block"):
+        raise InvalidParamsError(f"unknown figure {figure!r}")
+    points = [(n, b) for n in nodes for b in _blocks_for(n, cfg["blocks"], _FIGURE_BLOCK_FACTORS)]
+    if _FIGURE_ANCHOR not in points:
+        points.append(_FIGURE_ANCHOR)
+    for n, b in points:
+        if figure == "node-cluster":
+            add("node_degrade_prob", "regen-node", NODE_DEGRADE, n, b)
+            add("cluster_degrade_prob", "regen-cluster", CLUSTER_DEGRADE, n, b)
+        else:
+            add("block_degrade_prob", "regen-block", BLOCK_DEGRADE, n, b)
             add("block_degrade_prob", "regen-block", "block_degrade_both", n, b)
             add("block_degrade_prob", "regen-block", "block_degrade_one_slow", n, b)
-            add(
-                "any_block_degrade_prob", "regen-any-block", ANY_BLOCK_DEGRADE, n, b,
-                sim_metric=ANY_BLOCK_DEGRADE,
-            )
-    else:
-        raise InvalidParamsError(f"unknown figure {figure!r}")
+            add("any_block_degrade_prob", "regen-any-block", ANY_BLOCK_DEGRADE, n, b)
     return panels
 
 
-def cmd_figures(args: argparse.Namespace) -> int:
-    cfg = _effective(args)
-    if _maybe_show_config(args, cfg):
-        return 0
+def cmd_figures(cfg: dict) -> int:
     out_dir = cfg["out"]
     if not out_dir:
         raise InvalidParamsError("figures needs --out DIR")
@@ -535,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="64-bit master seed")
         p.add_argument("--mode", choices=["analytic", "simulate", "both"])
         p.add_argument("--tolerance", type=float, help="absolute gap gate for compare")
-        p.add_argument("--workers", type=int, help="parallel trial workers (results identical)")
+        p.add_argument("--workers", type=int, help="parallel trial workers, at most the CPU count (results identical)")
         p.add_argument("--sim", choices=["assumption", "protocol"], help="regen simulator flavor")
         p.add_argument("--out", help="output CSV path (sweep/compare) or directory (figures)")
         p.add_argument("--config", help="JSON config file; command-line flags win")
@@ -551,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "model": cmd_model,
         "sweep": cmd_sweep,
@@ -560,7 +487,11 @@ def main(argv: list[str] | None = None) -> int:
         "figures": cmd_figures,
     }
     try:
-        return handlers[args.command](args)
+        cfg = _effective(args, _COMMAND_DEFAULTS.get(args.command))
+        if args.show_config:
+            print(json.dumps(cfg, indent=2, sort_keys=True))
+            return 0
+        return handlers[args.command](cfg)
     except InvalidParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

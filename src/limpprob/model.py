@@ -47,12 +47,6 @@ class DegradedNodeCountPmf:
     b: int
     mass: tuple[float, ...]
 
-    def __len__(self) -> int:
-        return len(self.mass)
-
-    def __getitem__(self, i: int) -> float:
-        return self.mass[i]
-
 
 @dataclass(frozen=True)
 class BlockDegradeBreakdown:

@@ -2,8 +2,8 @@
 
 The cluster under study has n datanodes, 3-way replication, exactly one slow
 node and (for regeneration) exactly one crashed node.  All derivations in
-:mod:`limpprob.model` are specific to replication factor 3, so that factor is
-fixed here rather than configurable.
+:mod:`limpprob.model` are specific to replication factor 3, so no parameter
+type carries a replication factor.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParamsError
-
-REPLICATION_FACTOR = 3
-
 
 class Probability(float):
     """A float constrained to [0, 1].
@@ -40,16 +37,10 @@ class ClusterParams:
     """
 
     n: int
-    replication_factor: int = REPLICATION_FACTOR
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 3:
             raise InvalidParamsError(f"cluster size must be an integer >= 3, got {self.n!r}")
-        if self.replication_factor != REPLICATION_FACTOR:
-            raise InvalidParamsError(
-                "replication factor is fixed at 3; the closed forms do not "
-                f"generalize, got {self.replication_factor!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,6 @@ def stream_uniform(state: int, position: int) -> float:
     return (stream_raw(state, position) >> 11) * _INV53
 
 
-def stream_index(state: int, position: int, bound: int) -> int:
-    """Uniform integer in [0, bound) at one stream position."""
-    return min(int(stream_uniform(state, position) * bound), bound - 1)
-
-
 def _avalanche_np(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _SH30)) * _U_MIX_A
     z = (z ^ (z >> _SH27)) * _U_MIX_B
@@ -81,10 +76,12 @@ def uniforms_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
         return (_avalanche_np(z) >> _SH11).astype(np.float64) * _INV53
 
 
-def indices_np(states: np.ndarray, positions: np.ndarray, bound: int) -> np.ndarray:
-    """Vectorized uniform integers in [0, bound)."""
-    idx = (uniforms_np(states, positions) * bound).astype(np.int64)
-    return np.minimum(idx, bound - 1)
+def to_index(u: np.ndarray, bound: int) -> np.ndarray:
+    """Map uniforms in [0, 1) to integers in [0, bound).
+
+    The clamp guards against u * bound rounding up to bound in float64.
+    """
+    return np.minimum((u * bound).astype(np.int64), bound - 1)
 
 
 def trial_states_np(master_seed: int, trial_indices: np.ndarray) -> np.ndarray:
@@ -96,12 +93,12 @@ def trial_states_np(master_seed: int, trial_indices: np.ndarray) -> np.ndarray:
 
 
 class TrialStream:
-    """Sequential view of one trial's stream: each draw consumes the next position.
+    """Sequential view of one trial's stream.
 
-    Equivalent to calling :func:`stream_uniform` with positions 0, 1, 2, ...;
-    array draws use the vectorized path and advance the counter by the array
-    length.  Rebuilding a stream from the same (master_seed, trial_index)
-    replays identical values.
+    ``uniforms(k)`` returns the uniforms at the next k positions, equal to
+    :func:`stream_uniform` at those positions, and advances the counter by k.
+    Rebuilding a stream from the same (master_seed, trial_index) replays
+    identical values.
     """
 
     __slots__ = ("state", "position")
@@ -110,22 +107,7 @@ class TrialStream:
         self.state = trial_state(master_seed, trial_index)
         self.position = 0
 
-    def uniform(self) -> float:
-        value = stream_uniform(self.state, self.position)
-        self.position += 1
-        return value
-
     def uniforms(self, count: int) -> np.ndarray:
         positions = np.arange(self.position, self.position + count, dtype=np.uint64)
         self.position += count
         return uniforms_np(np.uint64(self.state), positions)
-
-    def index(self, bound: int) -> int:
-        value = stream_index(self.state, self.position, bound)
-        self.position += 1
-        return value
-
-    def indices(self, bound: int, count: int) -> np.ndarray:
-        positions = np.arange(self.position, self.position + count, dtype=np.uint64)
-        self.position += count
-        return indices_np(np.uint64(self.state), positions, bound)

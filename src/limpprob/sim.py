@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, PlanMismatchError
-from .rng import TrialStream
+from .rng import TrialStream, to_index
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class Placement:
     @property
     def b_total(self) -> int:
         return self.replicas.shape[0]
-
-    def replica_set(self, block: int) -> frozenset[int]:
-        return frozenset(int(v) for v in self.replicas[block])
 
 
 @dataclass(frozen=True)
@@ -84,10 +81,10 @@ class TrialOutcome:
 
 def _distinct_triples(u: np.ndarray, n: int) -> np.ndarray:
     """Map a (k, 3) uniform block to k sorted uniform 3-subsets of range(n)."""
-    i1 = np.minimum((u[:, 0] * n).astype(np.int64), n - 1)
-    i2 = np.minimum((u[:, 1] * (n - 1)).astype(np.int64), n - 2)
+    i1 = to_index(u[:, 0], n)
+    i2 = to_index(u[:, 1], n - 1)
     i2 += i2 >= i1
-    i3 = np.minimum((u[:, 2] * (n - 2)).astype(np.int64), n - 3)
+    i3 = to_index(u[:, 2], n - 2)
     lo = np.minimum(i1, i2)
     hi = np.maximum(i1, i2)
     i3 += i3 >= lo
@@ -132,7 +129,7 @@ def plan_regeneration(scenario: RegenScenario, rng: TrialStream) -> RegenPlan:
     holders = scenario.live_holders()
     u = rng.uniforms(2 * lost.size).reshape(-1, 2)
     sources = np.where(u[:, 0] < 0.5, holders[:, 0], holders[:, 1])
-    ranks = np.minimum((u[:, 1] * (n - 3)).astype(np.int64), n - 4)
+    ranks = to_index(u[:, 1], n - 3)
     excluded = np.sort(
         np.column_stack([np.full(lost.size, scenario.crashed, dtype=np.int64), holders]),
         axis=1,

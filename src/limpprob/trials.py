@@ -15,20 +15,22 @@ Three flavors:
 Every estimate is aggregated from integer success counts whose per-trial
 randomness is counter-based (see :mod:`limpprob.rng`), so results are
 bit-identical for a given master seed regardless of chunking or worker count.
-Trials are split into contiguous index ranges when ``workers > 1`` and the
-counts are summed, which is order-independent.
+Trials are split into contiguous index ranges when ``workers > 1``, one
+thread each and at most one per CPU, and the counts are summed, which is
+order-independent.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import InvalidParamsError
 from .params import ClusterParams, Probability, RegenParams, WorkloadParams
-from .rng import TrialStream, trial_states_np, uniforms_np
+from .rng import TrialStream, to_index, trial_states_np, uniforms_np
 from .sim import _distinct_triples, classify_outcome, gen_placement, make_scenario, plan_regeneration
 from .stats import EstimateSummary
 
@@ -52,7 +54,8 @@ def _check_trials(trials: int) -> None:
 
 
 def _partition(trials: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, trials))
+    """Split range(trials) into at most min(workers, CPU count) contiguous ranges."""
+    workers = max(1, min(workers, trials, os.cpu_count() or 1))
     step = -(-trials // workers)
     return [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
 
@@ -186,8 +189,8 @@ def run_assumption_trials(
             # slow node, survivor k>=1 is good-node column k-1
             ua = uniforms_np(states, np.uint64(pair_base))
             ub = uniforms_np(states, np.uint64(pair_base + 1))
-            first = np.minimum((ua * (n - 1)).astype(np.int64), n - 2)
-            second = np.minimum((ub * (n - 2)).astype(np.int64), n - 3)
+            first = to_index(ua, n - 1)
+            second = to_index(ub, n - 2)
             second += second >= first
             rows = np.arange(hi - lo)
             first_ok = (first == 0) | degraded[rows, np.maximum(first - 1, 0)]
@@ -251,9 +254,7 @@ def run_rw_trials(
                 u = uniforms_np(alive[:, None], base + np.arange(3, dtype=np.uint64))
                 triple = _distinct_triples(u, n)
                 if protocol == "read":
-                    choice = np.minimum(
-                        (uniforms_np(alive, base + np.uint64(3)) * 3).astype(np.int64), 2
-                    )
+                    choice = to_index(uniforms_np(alive, base + np.uint64(3)), 3)
                     touched = triple[np.arange(alive.size), choice] == 0
                 else:
                     touched = (triple == 0).any(axis=1)

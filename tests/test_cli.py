@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from limpprob.cli import CSV_HEADER, main
+from limpprob import InvalidParamsError
+from limpprob.cli import CSV_HEADER, analytic_value, main
 
 
 def _run(capsys, *argv):
@@ -198,6 +199,12 @@ class TestFigures:
         ]
 
 
+class TestAnalyticValue:
+    def test_unknown_metric_is_invalid(self):
+        with pytest.raises(InvalidParamsError, match="nope"):
+            analytic_value("nope", 10, 1)
+
+
 class TestModelCommand:
     def test_read_point(self, capsys):
         code, out, _ = _run(capsys, "model", "--protocol", "read", "--nodes", "10",
@@ -256,6 +263,17 @@ class TestConfig:
         config.write_text("{nope")
         code, _, err = _run(capsys, "sweep", "--config", str(config))
         assert code == 2
+
+    def test_json_lists_accepted_for_every_grid_key(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"nodes": [10, 20], "requests": [1, 3], "blocks": [9]}))
+        out = tmp_path / "x.csv"
+        code, _, err = _run(capsys, "sweep", "--config", str(config), "--protocol", "read",
+                            "--out", str(out))
+        assert code == 0, err
+        assert [(r[1], r[2]) for r in _read_rows(out)] == [
+            ("10", "1"), ("10", "3"), ("20", "1"), ("20", "3"),
+        ]
 
     def test_no_temp_files_left_behind(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -38,11 +38,6 @@ class TestClusterParams:
         with pytest.raises(InvalidParamsError):
             ClusterParams(2)
 
-    def test_replication_factor_fixed(self):
-        assert ClusterParams(10).replication_factor == 3
-        with pytest.raises(InvalidParamsError):
-            ClusterParams(10, replication_factor=2)
-
     def test_rejects_non_integers(self):
         with pytest.raises(InvalidParamsError):
             ClusterParams(10.5)

@@ -4,10 +4,9 @@ import pytest
 from limpprob.rng import (
     TrialStream,
     avalanche,
-    indices_np,
-    stream_index,
     stream_raw,
     stream_uniform,
+    to_index,
     trial_state,
     trial_states_np,
     uniforms_np,
@@ -48,15 +47,15 @@ def test_trial_states_vectorized_agree():
 def test_streams_replay():
     a = TrialStream(42, 7)
     b = TrialStream(42, 7)
-    assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
+    assert list(a.uniforms(10)) == list(b.uniforms(10))
     assert list(a.uniforms(5)) == list(b.uniforms(5))
     assert a.position == b.position == 15
 
 
 def test_streams_differ_across_trials_and_seeds():
-    base = [TrialStream(42, 0).uniform() for _ in range(1)]
-    assert TrialStream(42, 1).uniform() not in base
-    assert TrialStream(43, 0).uniform() not in base
+    base = list(TrialStream(42, 0).uniforms(1))
+    assert TrialStream(42, 1).uniforms(1)[0] not in base
+    assert TrialStream(43, 0).uniforms(1)[0] not in base
 
 
 def test_uniform_range_and_mean():
@@ -70,20 +69,23 @@ def test_uniform_range_and_mean():
 @pytest.mark.parametrize("bound", [1, 2, 3, 7, 64, 1000])
 def test_indices_within_bounds(bound):
     state = trial_state(99, 3)
-    idx = indices_np(np.uint64(state), np.arange(10_000, dtype=np.uint64), bound)
+    u = uniforms_np(np.uint64(state), np.arange(10_000, dtype=np.uint64))
+    u = np.append(u, [0.0, np.nextafter(1.0, 0.0)])
+    idx = to_index(u, bound)
     assert idx.min() >= 0
     assert idx.max() < bound
-    assert stream_index(state, 0, bound) == int(idx[0])
+    assert idx[-2] == 0 and idx[-1] == bound - 1
+    assert int(idx[0]) == min(int(stream_uniform(state, 0) * bound), bound - 1)
 
 
 def test_indices_roughly_uniform():
-    idx = indices_np(np.uint64(trial_state(5, 5)), np.arange(60_000, dtype=np.uint64), 6)
+    idx = to_index(uniforms_np(np.uint64(trial_state(5, 5)), np.arange(60_000, dtype=np.uint64)), 6)
     counts = np.bincount(idx, minlength=6)
     assert counts.min() > 9_000  # expectation 10_000 each
 
 
 def test_sequential_matches_random_access():
     stream = TrialStream(2024, 3)
-    seq = [stream.uniform() for _ in range(6)]
+    seq = list(stream.uniforms(2)) + list(stream.uniforms(4))
     state = trial_state(2024, 3)
     assert seq == [stream_uniform(state, pos) for pos in range(6)]

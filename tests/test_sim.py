@@ -27,7 +27,7 @@ class TestGenPlacement:
     def test_shape_and_distinctness(self):
         placement = gen_placement(5, 1, TrialStream(123, 0))
         assert placement.b_total == 1
-        replicas = placement.replica_set(0)
+        replicas = set(placement.replicas[0].tolist())
         assert len(replicas) == 3
         assert replicas <= {0, 1, 2, 3, 4}
 

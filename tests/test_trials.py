@@ -6,6 +6,8 @@ are several standard errors wide, and every run is deterministic in the
 master seed, so these tests are stable.
 """
 
+import os
+
 import pytest
 
 from limpprob import (
@@ -20,9 +22,19 @@ from limpprob import (
     run_protocol_trials,
     run_rw_trials,
 )
+from limpprob.trials import _partition
 
 NODE_10_90 = 0.36110217217355966568
 CLUSTER_10_500 = 0.95789415572912219584
+
+
+class TestPartition:
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _partition(100_000, 100_000) == [(0, 50_000), (50_000, 100_000)]
+        assert _partition(10, 1) == [(0, 10)]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _partition(100_000, 100_000) == [(0, 100_000)]
 
 
 class TestRwTrials:
