@@ -131,13 +131,20 @@ def node_degrade_prob(params: RegenParams) -> Probability:
             LowLoadWarning,
             stacklevel=2,
         )
+    value = _at_least_two_hits(m, 1.0 / (params.n - 2))
+    return Probability(_guarded_clamp(value, f"degraded-node probability (n={params.n}, b={params.b})"))
+
+
+def _at_least_two_hits(m: float, p: float) -> float:
+    """Unclamped 1 - (1-p)**m - m*p*(1-p)**(m-1), exactly 0 for m <= 1.
+
+    At integer m this is P(Binomial(m, p) >= 2).
+    """
     if m <= 1.0:
-        return Probability(0.0)
-    p = 1.0 / (params.n - 2)
+        return 0.0
     none = math.exp(m * math.log1p(-p))
     one = m * p * math.exp((m - 1.0) * math.log1p(-p))
-    value = 1.0 - none - one
-    return Probability(_guarded_clamp(value, f"degraded-node probability (n={params.n}, b={params.b})"))
+    return 1.0 - none - one
 
 
 def cluster_degrade_prob(params: RegenParams) -> Probability:

@@ -15,6 +15,13 @@ The avalanche function and golden-ratio increment are the SplitMix64
 finalizer and step constants, used here in counter mode.  Scalar (pure
 Python) and vectorized (numpy uint64) evaluations produce identical bits;
 tests pin both.
+
+Stream layouts per trial (changing one changes simulated CSV rows):
+assumption sampler: one node indicator per good node at [0, n-2), the
+survivor pair at n-2 and n-1, then any-block block j at n+3j (with-slow
+coin), n+3j+1 and n+3j+2 (holders 1 and 2).  Reads: request j at [4j, 4j+3)
+(placement) and 4j+3 (replica choice); writes: [3j, 3j+3).  Protocol: 3 per
+placed block, then (source coin, destination rank) per lost block.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ Three flavors:
   (random placement, crash, per-block source/destination choice) and is
   expected to agree with the closed forms only approximately.
 * :func:`run_assumption_trials` samples the closed-form model's own
-  assumptions (every good node gets the average load m, every task hits the
-  slow node with probability 1/(n-2), block copies land on a uniform pair of
-  survivors, blocks are independent), so its estimates converge to the model
-  exactly as trials grow.
+  assumptions (good nodes degrade independently, block copies land on a
+  uniform survivor pair, blocks are independent), so its estimates converge
+  to the closed forms at integer load m = b/(n-1) and to
+  :func:`_node_target` at fractional m.
 * :func:`run_rw_trials` samples read/write request streams.
 
 Every estimate is aggregated from integer success counts whose per-trial
@@ -17,18 +17,18 @@ randomness is counter-based (see :mod:`limpprob.rng`), so results are
 bit-identical for a given master seed regardless of chunking or worker count.
 Trials are split into contiguous index ranges when ``workers > 1``, one
 thread each and at most one per CPU, and the counts are summed, which is
-order-independent.
+order-independent.  ``_CHUNK_ELEMS`` bounds every transient array.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import InvalidParamsError
+from .model import _at_least_two_hits
 from .params import ClusterParams, Probability, RegenParams, WorkloadParams
 from .rng import TrialStream, to_index, trial_states_np, uniforms_np
 from .sim import _distinct_triples, classify_outcome, gen_placement, make_scenario, plan_regeneration
@@ -43,9 +43,9 @@ WRITE_USER_DEGRADE = "write_user_degrade"
 
 REGEN_METRICS = (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)
 
-# Keep transient uniform matrices around this many elements.
-_CHUNK_ELEMS = 4_000_000
-_MAX_RANGE = 50_000
+# The one memory budget: every transient uniform array holds at most this
+# many elements, and a protocol trial places at most a third as many blocks.
+_CHUNK_ELEMS = 1 << 20
 
 
 def _check_trials(trials: int) -> None:
@@ -87,12 +87,15 @@ def run_protocol_trials(
     and marks node 1 slow (uniform placement makes the identities
     irrelevant), plans regeneration and classifies the outcome.  The
     node-degrade estimate averages over all good nodes; the block-degrade
-    estimate averages over all lost blocks of all trials.
+    estimate averages over all lost blocks of all trials.  b_total is capped
+    at _CHUNK_ELEMS // 3 = 349,525 so one placement fits the memory budget.
     """
     if not isinstance(n, int) or n < 5:
         raise InvalidParamsError(f"protocol trials need an integer n >= 5, got {n!r}")
     if not isinstance(b_total, int) or b_total < 1:
         raise InvalidParamsError(f"need at least 1 block, got {b_total!r}")
+    if 3 * b_total > _CHUNK_ELEMS:
+        raise InvalidParamsError(f"protocol trials place at most {_CHUNK_ELEMS // 3} blocks, got {b_total}")
     _check_trials(trials)
 
     def counts(start: int, stop: int):
@@ -121,28 +124,43 @@ def run_protocol_trials(
     }
 
 
-def _hit_matrix(states: np.ndarray, bases: np.ndarray, kf: int, frac: float, p: float) -> np.ndarray:
-    """Degraded indicators for node simulations laid out at the given stream bases.
+def _node_target(n: int, b: int) -> float:
+    """The assumption sampler's per-node degrade probability q.
 
-    states has shape (T,), bases (T,) or (nodes,) broadcast against it.  Per
-    simulated node the stream block holds [frac coin, kf task hits, 1 extra
-    task hit]; the node counts as degraded when at least 2 tasks hit the slow
-    node out of kf tasks plus, with probability frac, one more.
+    q = (1-frac)*T2(floor(m)) + frac*T2(floor(m)+1) with T2(k) = P(Bin(k, 1/(n-2)) >= 2)
+    is the law of floor(m) + Bernoulli(frac(m)) tasks, m = b/(n-1).  It equals the
+    closed form at integer m only (n=10, b=14: q = 0.00868, closed form 0.00702).
     """
-    one = np.uint64(1)
-    bases = np.asarray(bases, dtype=np.uint64)
-    if bases.ndim == 1 and states.ndim == 1 and bases.shape != states.shape:
-        states = states[:, None]  # (T, 1) vs (nodes,) -> (T, nodes)
-    if kf > 0:
-        task_pos = bases[..., None] + one + np.arange(kf, dtype=np.uint64)
-        hits = (uniforms_np(states[..., None], task_pos) < p).sum(axis=-1)
-    else:
-        hits = np.zeros(np.broadcast_shapes(states.shape, bases.shape), dtype=np.int64)
-    if frac > 0.0:
-        coin = uniforms_np(states, bases) < frac
-        extra = uniforms_np(states, bases + np.uint64(kf + 1)) < p
-        hits = hits + (coin & extra)
-    return hits >= 2
+    kf, rem = divmod(b, n - 1)
+    frac = rem / (n - 1)
+    p = 1.0 / (n - 2)
+    return (1.0 - frac) * _at_least_two_hits(kf, p) + frac * _at_least_two_hits(kf + 1, p)
+
+
+def _count_hit_trials(master_seed: int, start: int, stop: int, count: int, base: int, slots: int, hits) -> int:
+    """How many trials in [start, stop) have at least one of count elements hit.
+
+    Element j reads stream positions [base + j*slots, base + (j+1)*slots);
+    hits maps (trials, width, slots) uniforms to (trials, width) flags.
+    Rounds start at width 1 and double while the array fits _CHUNK_ELEMS;
+    hit trials drop out between rounds, so at most about twice the draws up
+    to a trial's first hit are spent, and the count is chunking-independent.
+    """
+    hit_trials = 0
+    step = max(1, _CHUNK_ELEMS // slots)
+    for lo in range(start, stop, step):
+        alive = trial_states_np(master_seed, np.arange(lo, min(stop, lo + step), dtype=np.int64))
+        size = alive.size
+        j, width = 0, 1
+        while j < count and alive.size:
+            width = min(width, count - j, max(1, _CHUNK_ELEMS // (alive.size * slots)))
+            positions = np.arange(base + j * slots, base + (j + width) * slots, dtype=np.uint64)
+            u = uniforms_np(alive[:, None], positions).reshape(alive.size, width, slots)
+            alive = alive[~hits(u).any(axis=1)]
+            j += width
+            width *= 2
+        hit_trials += size - alive.size
+    return hit_trials
 
 
 def run_assumption_trials(
@@ -150,70 +168,46 @@ def run_assumption_trials(
 ) -> dict[str, EstimateSummary]:
     """Estimate the regeneration metrics by sampling the model's assumptions.
 
-    Per trial, each of the n-2 good nodes independently receives
-    floor(m)+Bernoulli(frac(m)) copy tasks (mean m = b/(n-1)), each task hits
-    the slow node with probability 1/(n-2), and a node is degraded on >= 2
-    hits.  The cluster indicator needs all good nodes degraded.  The
-    per-block indicator places the block's two surviving copies on a uniform
-    pair of the n-1 survivors and checks the degraded-block predicate against
-    the trial's node outcomes.  The any-block indicator draws, for each of
-    the b blocks, a fresh independent node configuration for its holders,
-    mirroring the independence the closed form assumes across blocks.
+    Per trial, each of the n-2 good nodes is degraded when one uniform falls
+    below q (:func:`_node_target`), the exact law of >= 2 slow hits among
+    floor(m) + Bernoulli(frac(m)) copy tasks.  The cluster indicator needs
+    all good nodes degraded.  The per-block indicator places the block's two
+    surviving copies on a uniform pair of the n-1 survivors and checks the
+    degraded-block predicate against the trial's node indicators.  The
+    any-block indicator draws, for each of the b blocks, fresh independent
+    indicators for its holders, mirroring the independence the closed form
+    assumes across blocks.  The stream layout is in :mod:`limpprob.rng`.
     """
     _check_trials(trials)
     n, b = params.n, params.b
     good = n - 2
-    m = b / (n - 1)
-    kf = int(m)
-    frac = m - kf
-    p = 1.0 / (n - 2)
-    pair_with_slow = (n - 2) / math.comb(n - 1, 2)  # = 2/(n-1)
+    q = _node_target(n, b)
+    rows, cols = max(1, _CHUNK_ELEMS // good), min(good, _CHUNK_ELEMS)  # node pass chunks
 
-    node_slots = kf + 2
-    pair_base = good * node_slots
-    block_base = pair_base + 2
-    block_stride = 1 + 2 * node_slots
-
-    node_bases = (np.arange(good, dtype=np.uint64)) * np.uint64(node_slots)
+    def block_degraded(u: np.ndarray) -> np.ndarray:
+        # holder 1 degraded, and holder 2 the slow node (odds 2/(n-1)) or degraded
+        return (u[..., 1] < q) & ((u[..., 0] < 2.0 / (n - 1)) | (u[..., 2] < q))
 
     def counts(start: int, stop: int):
-        node_hits = cluster_hits = block_hits = any_hits = 0
-        sub = max(1, _CHUNK_ELEMS // max(good * max(kf, 1), 1))
-        for lo in range(start, stop, sub):
-            hi = min(stop, lo + sub)
-            states = trial_states_np(master_seed, np.arange(lo, hi, dtype=np.int64))
-            degraded = _hit_matrix(states, node_bases, kf, frac, p)  # (T, good)
-            node_hits += int(degraded.sum())
-            cluster_hits += int(degraded.all(axis=1).sum())
-            # one block, copies on a uniform survivor pair; survivor 0 is the
-            # slow node, survivor k>=1 is good-node column k-1
-            ua = uniforms_np(states, np.uint64(pair_base))
-            ub = uniforms_np(states, np.uint64(pair_base + 1))
-            first = to_index(ua, n - 1)
-            second = to_index(ub, n - 2)
+        node_hits = cluster_hits = block_hits = 0
+        for lo in range(start, stop, rows):
+            states = trial_states_np(master_seed, np.arange(lo, min(stop, lo + rows), dtype=np.int64))
+            cluster = np.ones(states.size, dtype=bool)
+            for c in range(0, good, cols):
+                degraded = uniforms_np(states[:, None], np.arange(c, min(good, c + cols), dtype=np.uint64)) < q
+                node_hits += int(degraded.sum())
+                cluster &= degraded.all(axis=1)
+            cluster_hits += int(cluster.sum())
+            # one block on a uniform survivor pair; survivor 0 is the slow node,
+            # survivor k>=1 the good node whose indicator is re-read at k-1
+            u = uniforms_np(states[:, None], np.arange(good, good + 2, dtype=np.uint64))
+            first, second = to_index(u[:, 0], n - 1), to_index(u[:, 1], n - 2)
             second += second >= first
-            rows = np.arange(hi - lo)
-            first_ok = (first == 0) | degraded[rows, np.maximum(first - 1, 0)]
-            second_ok = (second == 0) | degraded[rows, np.maximum(second - 1, 0)]
-            block_hits += int((first_ok & second_ok).sum())
-        # any-block: fresh holder configurations per block, early exit per trial
-        for lo in range(start, stop, _MAX_RANGE):
-            hi = min(stop, lo + _MAX_RANGE)
-            alive = trial_states_np(master_seed, np.arange(lo, hi, dtype=np.int64))
-            for j in range(b):
-                if alive.size == 0:
-                    break
-                base = np.uint64(block_base + j * block_stride)
-                with_slow = uniforms_np(alive, base) < pair_with_slow
-                holder1 = _hit_matrix(alive, base + np.uint64(1), kf, frac, p)
-                need_second = holder1 & ~with_slow
-                block_degraded = holder1.copy()
-                if need_second.any():
-                    block_degraded[need_second] = _hit_matrix(
-                        alive[need_second], base + np.uint64(1 + node_slots), kf, frac, p
-                    )
-                alive = alive[~block_degraded]
-            any_hits += (hi - lo) - alive.size
+            holders = np.stack([first, second], axis=1)
+            on_degraded = uniforms_np(states[:, None], np.maximum(holders - 1, 0).astype(np.uint64)) < q
+            block_hits += int(((holders == 0) | on_degraded).all(axis=1).sum())
+        # with q = 0 no block can be degraded, so skip drawing them
+        any_hits = _count_hit_trials(master_seed, start, stop, b if q > 0.0 else 0, good + 2, 3, block_degraded)
         return [node_hits, cluster_hits, block_hits, any_hits]
 
     node_hits, cluster_hits, block_hits, any_hits = _run_partitioned(counts, trials, workers)
@@ -242,25 +236,17 @@ def run_rw_trials(
     _check_trials(trials)
     slots = 4 if protocol == "read" else 3
 
+    def touched(u: np.ndarray) -> np.ndarray:
+        triple = _distinct_triples(u[..., :3].reshape(-1, 3), n)
+        if protocol == "read":
+            choice = to_index(u[..., 3].reshape(-1), 3)
+            hit = triple[np.arange(choice.size), choice] == 0
+        else:
+            hit = (triple == 0).any(axis=1)
+        return hit.reshape(u.shape[:2])
+
     def counts(start: int, stop: int):
-        touched_total = 0
-        for lo in range(start, stop, _MAX_RANGE):
-            hi = min(stop, lo + _MAX_RANGE)
-            alive = trial_states_np(master_seed, np.arange(lo, hi, dtype=np.int64))
-            for j in range(r):
-                if alive.size == 0:
-                    break
-                base = np.uint64(j * slots)
-                u = uniforms_np(alive[:, None], base + np.arange(3, dtype=np.uint64))
-                triple = _distinct_triples(u, n)
-                if protocol == "read":
-                    choice = to_index(uniforms_np(alive, base + np.uint64(3)), 3)
-                    touched = triple[np.arange(alive.size), choice] == 0
-                else:
-                    touched = (triple == 0).any(axis=1)
-                alive = alive[~touched]
-            touched_total += (hi - lo) - alive.size
-        return [touched_total]
+        return [_count_hit_trials(master_seed, start, stop, r, 0, slots, touched)]
 
     (touched_total,) = _run_partitioned(counts, trials, workers)
     metric = READ_USER_DEGRADE if protocol == "read" else WRITE_USER_DEGRADE

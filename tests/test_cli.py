@@ -146,6 +146,14 @@ class TestCompare:
         code, _, _ = _run(capsys, "compare", "--tolerance", "0")
         assert code == 2
 
+    def test_oversized_placement_is_usage_error(self, capsys):
+        code, _, err = _run(
+            capsys, "compare", "--sim", "protocol", "--nodes", "10",
+            "--blocks", "1000000000", "--trials", "1",
+        )
+        assert code == 2
+        assert "place at most" in err
+
 
 class TestFigures:
     def test_write_figure_carries_the_40_request_anchor(self, tmp_path, capsys):

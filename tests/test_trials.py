@@ -6,8 +6,11 @@ are several standard errors wide, and every run is deterministic in the
 master seed, so these tests are stable.
 """
 
+import math
 import os
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from limpprob import (
@@ -18,11 +21,15 @@ from limpprob import (
     InvalidParamsError,
     RegenParams,
     block_degrade_breakdown,
+    node_degrade_prob,
     run_assumption_trials,
     run_protocol_trials,
     run_rw_trials,
+    trials,
 )
-from limpprob.trials import _partition
+from limpprob.rng import stream_uniform, to_index, trial_state, trial_states_np, uniforms_np
+from limpprob.sim import _distinct_triples
+from limpprob.trials import _node_target, _partition
 
 NODE_10_90 = 0.36110217217355966568
 CLUSTER_10_500 = 0.95789415572912219584
@@ -37,7 +44,109 @@ class TestPartition:
         assert _partition(100_000, 100_000) == [(0, 100_000)]
 
 
+def _rw_reference(protocol, n, r, count, seed):
+    """One request per iteration over all live trials: the loop run_rw_trials must match."""
+    slots = 4 if protocol == "read" else 3
+    alive = trial_states_np(seed, np.arange(count, dtype=np.int64))
+    for j in range(r):
+        if alive.size == 0:
+            break
+        base = np.uint64(j * slots)
+        triple = _distinct_triples(uniforms_np(alive[:, None], base + np.arange(3, dtype=np.uint64)), n)
+        if protocol == "read":
+            choice = to_index(uniforms_np(alive, base + np.uint64(3)), 3)
+            touched = triple[np.arange(alive.size), choice] == 0
+        else:
+            touched = (triple == 0).any(axis=1)
+        alive = alive[~touched]
+    return count - alive.size
+
+
+def _assumption_reference(n, b, count, seed):
+    """Scalar replay of the documented assumption stream layout, trial by trial."""
+    q = _node_target(n, b)
+    good = n - 2
+    node = cluster = block = any_block = 0
+    for t in range(count):
+        state = trial_state(seed, t)
+        degraded = [stream_uniform(state, k) < q for k in range(good)]
+        node += sum(degraded)
+        cluster += all(degraded)
+        first = min(int(stream_uniform(state, good) * (n - 1)), n - 2)
+        second = min(int(stream_uniform(state, good + 1) * (n - 2)), n - 3)
+        second += second >= first
+        block += all(h == 0 or degraded[h - 1] for h in (first, second))
+        u = lambda j, slot: stream_uniform(state, good + 2 + 3 * j + slot)
+        any_block += any(u(j, 1) < q and (u(j, 0) < 2.0 / (n - 1) or u(j, 2) < q) for j in range(b))
+    return [node, cluster, block, any_block]
+
+
+class TestNodeTarget:
+    def test_integer_load_is_the_closed_form(self):
+        for n in (5, 10, 30, 50, 100, 150, 1000):
+            for k in (0, 1, 2, 3, 10, 50, 400):
+                want = node_degrade_prob(RegenParams(n, k * (n - 1)))
+                assert _node_target(n, k * (n - 1)) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_fractional_load_is_the_exact_mixture(self):
+        def at_least_two(k, p):
+            return sum(math.comb(k, i) * p**i * (1 - p) ** (k - i) for i in range(2, k + 1))
+
+        for n in (5, 6, 10, 13):
+            p = Fraction(1, n - 2)
+            for b in range(6 * (n - 1) + 1):
+                kf, rem = divmod(b, n - 1)
+                frac = Fraction(rem, n - 1)
+                want = (1 - frac) * at_least_two(kf, p) + frac * at_least_two(kf + 1, p)
+                assert _node_target(n, b) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        assert _node_target(10, 14) == pytest.approx(0.00868, abs=5e-6)
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("budget", [trials._CHUNK_ELEMS, 1 << 12])
+    def test_no_uniform_array_exceeds_the_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(trials, "_CHUNK_ELEMS", budget)
+        largest = 0
+        draw = trials.uniforms_np
+
+        def recording(states, positions):
+            nonlocal largest
+            u = draw(states, positions)
+            largest = max(largest, u.size)
+            return u
+
+        monkeypatch.setattr(trials, "uniforms_np", recording)
+        run_assumption_trials(RegenParams(10, 36000), 3000, master_seed=1)
+        run_assumption_trials(RegenParams(50, 2450), 3000, master_seed=1)
+        for protocol in ("read", "write"):
+            run_rw_trials(protocol, 1000, 1000, 3000, master_seed=1)
+        assert 0 < largest <= budget
+
+
+class TestChunking:
+    def test_tiny_budget_gives_identical_results(self, monkeypatch):
+        def run_all():
+            return (
+                run_assumption_trials(RegenParams(30, 290), 300, master_seed=4),
+                run_assumption_trials(RegenParams(10, 14), 300, master_seed=4),
+                run_rw_trials("read", 30, 40, 300, master_seed=4),
+                run_rw_trials("write", 30, 40, 300, master_seed=4),
+            )
+
+        want = run_all()
+        monkeypatch.setattr(trials, "_CHUNK_ELEMS", 16)
+        assert run_all() == want
+
+
 class TestRwTrials:
+    @pytest.mark.parametrize("protocol", ["read", "write"])
+    def test_matches_one_request_loop(self, protocol):
+        for n, r in ((5, 1), (10, 7), (23, 40), (50, 300), (200, 1000)):
+            est = run_rw_trials(protocol, n, r, 3000, master_seed=17)
+            assert est.successes == _rw_reference(protocol, n, r, 3000, 17)
+            assert est.trials == 3000
+
+
     def test_read_single_request_matches_placement_law(self):
         est = run_rw_trials("read", 10, 1, 1_000_000, master_seed=11)
         assert abs(est.point_estimate - 0.100) <= 0.001
@@ -102,6 +211,12 @@ class TestAssumptionTrials:
         three = run_assumption_trials(RegenParams(10, 90), 20_000, master_seed=9, workers=3)
         assert one == three
 
+    def test_matches_scalar_stream_layout(self):
+        for n, b in ((10, 50), (12, 22), (10, 9), (7, 0)):
+            est = run_assumption_trials(RegenParams(n, b), 300, master_seed=31)
+            got = [est[m].successes for m in (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)]
+            assert got == _assumption_reference(n, b, 300, 31)
+
     def test_interval_shape(self):
         est = run_assumption_trials(RegenParams(30, 290), 20_000, master_seed=8)
         for summary in est.values():
@@ -137,3 +252,5 @@ class TestProtocolTrials:
             run_protocol_trials(10, 0, 10, master_seed=0)
         with pytest.raises(InvalidParamsError):
             run_protocol_trials(10, 10, 0, master_seed=0)
+        with pytest.raises(InvalidParamsError, match="place at most"):
+            run_protocol_trials(10, trials._CHUNK_ELEMS // 3 + 1, 1, master_seed=0)
