@@ -6,10 +6,12 @@ Subcommands:
 * ``model``    - evaluate the closed forms at a single parameter point
 * ``sweep``    - sweep a parameter grid, write one CSV dataset
 * ``compare``  - run analytic and simulated estimators on a grid and gate the
-  absolute gap; exit code 1 when any point fails
+  absolute gap; exit code 1 when any point fails, including a point whose
+  estimate rests on no observations (status ``no-observations``)
 * ``figures``  - write the canonical curve datasets, one CSV per panel
 
-Exit codes: 0 success, 1 comparison tolerance failure, 2 usage/config error.
+Exit codes: 0 success, 1 comparison failure (beyond tolerance or no
+observations), 2 usage/config error.
 
 CSV schema (exact column order)::
 
@@ -370,20 +372,27 @@ def cmd_compare(cfg: dict) -> int:
             analytic = analytic_value(metric, n, v)
             est = cache.estimate(protocol, metric, n, v)
             gap = abs(analytic - est.point_estimate)
-            ok = gap <= tolerance or est.ci_low <= analytic <= est.ci_high
-            failures += not ok
-            table.append((protocol, n, v, metric, analytic, est, gap, ok))
+            if est.trials == 0:
+                # nothing was observed (e.g. no block was lost), so the [0, 1] CI proves nothing
+                status = "no-observations"
+            else:
+                status = "ok" if gap <= tolerance or est.ci_low <= analytic <= est.ci_high else "FAIL"
+            failures += status != "ok"
+            table.append((protocol, n, v, metric, analytic, est, gap, status))
             rows.append(Row(protocol, n, v, metric, "analytic", analytic))
             rows.append(Row.simulated(protocol, n, v, metric, est, cfg["seed"]))
     header = f"{'protocol':<16}{'n':>5}{'r_or_b':>8}  {'metric':<20}{'analytic':>12}{'estimate':>12}{'gap':>10}  status"
     print(header)
     print("-" * len(header))
-    for protocol, n, v, metric, analytic, est, gap, ok in table:
+    for protocol, n, v, metric, analytic, est, gap, status in table:
         print(
             f"{protocol:<16}{n:>5}{v:>8}  {metric:<20}{analytic:>12.6g}{est.point_estimate:>12.6g}"
-            f"{gap:>10.2g}  {'ok' if ok else 'FAIL'}"
+            f"{gap:>10.2g}  {status}"
         )
-    verdict = "all within tolerance" if failures == 0 else f"{failures} point(s) beyond tolerance"
+    beyond = sum(row[-1] == "FAIL" for row in table)
+    verdict = "all within tolerance" if beyond == 0 else f"{beyond} point(s) beyond tolerance"
+    if failures > beyond:
+        verdict = f"{failures - beyond} point(s) without observations, {verdict}"
     print(f"compare: {len(table) - failures}/{len(table)} ok ({verdict} {tolerance:g}, sim={cfg['sim']}, trials={cfg['trials']})")
     if cfg["out"]:
         _write_csv(cfg["out"], rows)

@@ -20,8 +20,10 @@ Stream layouts per trial (changing one changes simulated CSV rows):
 assumption sampler: one node indicator per good node at [0, n-2), the
 survivor pair at n-2 and n-1, then any-block block j at n+3j (with-slow
 coin), n+3j+1 and n+3j+2 (holders 1 and 2).  Reads: request j at [4j, 4j+3)
-(placement) and 4j+3 (replica choice); writes: [3j, 3j+3).  Protocol: 3 per
-placed block, then (source coin, destination rank) per lost block.
+(placement) and 4j+3 (replica choice); writes: [3j, 3j+3).  Protocol:
+placed block i at [3i, 3i+3) (its three raw replica indices), then the k-th
+lost block in block-id order, k = 0, 1, ..., at 3*b_total + 2k (source coin)
+and 3*b_total + 2k + 1 (destination rank).
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ assigned copy tasks target the slow node.
 All randomness comes from a :class:`limpprob.rng.TrialStream`, consumed in a
 fixed documented order (placement first, then per lost block a source coin
 and a destination rank), so a replay with the same stream reproduces every
-object bit for bit.
+object bit for bit.  These functions are the reference that the batched
+kernel in :func:`limpprob.trials.run_protocol_trials` reproduces.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Three flavors:
 
 * :func:`run_protocol_trials` replays the actual regeneration protocol
   (random placement, crash, per-block source/destination choice) and is
-  expected to agree with the closed forms only approximately.
+  expected to agree with the closed forms only approximately.  It is a
+  batched kernel over whole trials that builds replica triples for lost
+  blocks only; the single-trial functions in :mod:`limpprob.sim` are its
+  reference and give the same counts.
 * :func:`run_assumption_trials` samples the closed-form model's own
   assumptions (good nodes degrade independently, block copies land on a
   uniform survivor pair, blocks are independent), so its estimates converge
@@ -30,8 +33,8 @@ import numpy as np
 from .errors import InvalidParamsError
 from .model import _at_least_two_hits
 from .params import ClusterParams, Probability, RegenParams, WorkloadParams
-from .rng import TrialStream, to_index, trial_states_np, uniforms_np
-from .sim import _distinct_triples, classify_outcome, gen_placement, make_scenario, plan_regeneration
+from .rng import to_index, trial_states_np, uniforms_np
+from .sim import _distinct_triples
 from .stats import EstimateSummary
 
 NODE_DEGRADE = "node_degrade"
@@ -83,12 +86,19 @@ def run_protocol_trials(
 ) -> dict[str, EstimateSummary]:
     """Estimate degraded-node/cluster/block probabilities from full protocol replays.
 
-    Each trial generates a fresh placement of b_total blocks, crashes node 0
-    and marks node 1 slow (uniform placement makes the identities
-    irrelevant), plans regeneration and classifies the outcome.  The
-    node-degrade estimate averages over all good nodes; the block-degrade
-    estimate averages over all lost blocks of all trials.  b_total is capped
-    at _CHUNK_ELEMS // 3 = 349,525 so one placement fits the memory budget.
+    Each trial places b_total blocks, crashes node 0 and marks node 1 slow
+    (uniform placement makes the identities irrelevant), plans regeneration
+    and classifies the outcome.  The kernel runs batches of whole trials and
+    reads the stream positions that :func:`limpprob.sim.gen_placement`,
+    :func:`~limpprob.sim.make_scenario`, :func:`~limpprob.sim.plan_regeneration`
+    and :func:`~limpprob.sim.classify_outcome` read for one trial; those
+    functions are its reference and give the same counts.  Only lost blocks
+    get a replica triple.  The node-degrade estimate averages over all good
+    nodes; the block-degrade estimate averages over all lost blocks of all
+    trials.  Placement uniforms are drawn at most _CHUNK_ELEMS >> 4 at a
+    time: whole trials per batch, or one larger trial in block chunks.
+    b_total is capped at _CHUNK_ELEMS // 3 = 349,525 so that one trial's
+    lost-block arrays fit the memory budget.
     """
     if not isinstance(n, int) or n < 5:
         raise InvalidParamsError(f"protocol trials need an integer n >= 5, got {n!r}")
@@ -97,20 +107,52 @@ def run_protocol_trials(
     if 3 * b_total > _CHUNK_ELEMS:
         raise InvalidParamsError(f"protocol trials place at most {_CHUNK_ELEMS // 3} blocks, got {b_total}")
     _check_trials(trials)
+    budget = _CHUNK_ELEMS >> 4  # placement uniforms per batch
+    rows = max(1, budget // (3 * b_total))  # whole trials per batch
+    cols = min(b_total, max(1, budget // 3))  # blocks per draw, below b_total only when rows == 1
 
     def counts(start: int, stop: int):
+        # One loop body, no helper: each array stays bound until the next batch
+        # rebinds it, so the heap is reused; freeing a batch's arrays at a
+        # function return tripled the page faults on the compare grid.
         node_hits = cluster_hits = block_hits = lost_total = any_hits = 0
-        for t in range(start, stop):
-            stream = TrialStream(master_seed, t)
-            placement = gen_placement(n, b_total, stream)
-            scenario = make_scenario(placement, crashed=0, slow=1)
-            plan = plan_regeneration(scenario, stream)
-            outcome = classify_outcome(scenario, plan)
-            node_hits += len(outcome.degraded_nodes)
-            cluster_hits += outcome.cluster_degraded
-            block_hits += outcome.degraded_block_count
-            lost_total += scenario.lost_blocks.size
-            any_hits += outcome.degraded_block_count > 0
+        for lo in range(start, stop, rows):
+            states = trial_states_np(master_seed, np.arange(lo, min(stop, lo + rows), dtype=np.int64))
+            # placement: a block holds node 0 iff one of its raw indices in
+            # _distinct_triples is 0, so only lost blocks get a sorted triple
+            trial_parts, u_parts = [], []
+            for first in range(0, b_total, cols):
+                positions = np.arange(3 * first, 3 * min(b_total, first + cols), dtype=np.uint64)
+                u = uniforms_np(states[:, None], positions).reshape(states.size, -1, 3)
+                lost = (u[..., 0] * n < 1.0) | (u[..., 1] * (n - 1) < 1.0) | (u[..., 2] * (n - 2) < 1.0)
+                trial, block = np.nonzero(lost)
+                trial_parts.append(trial)
+                u_parts.append(u[trial, block])
+            trial = np.concatenate(trial_parts)  # trial, then block-id order
+            holders = _distinct_triples(np.concatenate(u_parts), n)[:, 1:]  # node 0 sorts first
+            # plan: the k-th lost block of a trial reads 3*b_total + 2k and + 1
+            per_trial = np.bincount(trial, minlength=states.size)
+            k = np.arange(trial.size) - np.repeat(np.cumsum(per_trial) - per_trial, per_trial)
+            positions = (3 * b_total + 2 * k)[:, None].astype(np.uint64) + np.arange(2, dtype=np.uint64)
+            plan = uniforms_np(states[trial][:, None], positions)
+            sources = np.where(plan[:, 0] < 0.5, holders[:, 0], holders[:, 1])
+            dests = to_index(plan[:, 1], n - 3) + 1  # rank among the nodes that hold no copy
+            for col in range(2):
+                dests += dests >= holders[:, col]
+            # classify: a good node is degraded by >= 2 of its tasks bound for node 1
+            to_slow = dests == 1
+            slow_tasks = np.bincount(trial[to_slow] * n + sources[to_slow], minlength=states.size * n)
+            degraded = slow_tasks.reshape(states.size, n) >= 2
+            degraded[:, :2] = False
+            per_trial_degraded = degraded.sum(axis=1)
+            node_hits += int(per_trial_degraded.sum())
+            cluster_hits += int((per_trial_degraded == n - 2).sum())
+            # a lost block is degraded when each live holder is the slow node or degraded
+            degraded[:, 1] = True
+            hit = degraded[trial, holders[:, 0]] & degraded[trial, holders[:, 1]]
+            block_hits += int(hit.sum())
+            any_hits += np.unique(trial[hit]).size
+            lost_total += trial.size
         return [node_hits, cluster_hits, block_hits, lost_total, any_hits]
 
     node_hits, cluster_hits, block_hits, lost_total, any_hits = _run_partitioned(

@@ -154,6 +154,17 @@ class TestCompare:
         assert code == 2
         assert "place at most" in err
 
+    def test_point_without_observations_fails(self, capsys):
+        # 33 blocks on 100 nodes: at seed 0 the one trial loses no block, so
+        # block_degrade has no observations and its CI is [0, 1]
+        code, out, _ = _run(
+            capsys, "compare", "--sim", "protocol", "--protocol", "regen-block",
+            "--nodes", "100", "--blocks", "1", "--trials", "1", "--seed", "0",
+        )
+        assert code == 1
+        assert "no-observations" in out
+        assert "0/1 ok" in out
+
 
 class TestFigures:
     def test_write_figure_carries_the_40_request_anchor(self, tmp_path, capsys):

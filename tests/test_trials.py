@@ -27,8 +27,8 @@ from limpprob import (
     run_rw_trials,
     trials,
 )
-from limpprob.rng import stream_uniform, to_index, trial_state, trial_states_np, uniforms_np
-from limpprob.sim import _distinct_triples
+from limpprob.rng import TrialStream, stream_uniform, to_index, trial_state, trial_states_np, uniforms_np
+from limpprob.sim import _distinct_triples, classify_outcome, gen_placement, make_scenario, plan_regeneration
 from limpprob.trials import _node_target, _partition
 
 NODE_10_90 = 0.36110217217355966568
@@ -81,6 +81,26 @@ def _assumption_reference(n, b, count, seed):
     return [node, cluster, block, any_block]
 
 
+def _protocol_reference(n, b_total, count, seed):
+    """One trial at a time through the single-trial sim functions: the counts run_protocol_trials must match."""
+    node = cluster = block = lost = any_block = 0
+    for t in range(count):
+        stream = TrialStream(seed, t)
+        scenario = make_scenario(gen_placement(n, b_total, stream), crashed=0, slow=1)
+        outcome = classify_outcome(scenario, plan_regeneration(scenario, stream))
+        node += len(outcome.degraded_nodes)
+        cluster += outcome.cluster_degraded
+        block += outcome.degraded_block_count
+        lost += scenario.lost_blocks.size
+        any_block += outcome.degraded_block_count > 0
+    return {
+        NODE_DEGRADE: (node, count * (n - 2)),
+        CLUSTER_DEGRADE: (cluster, count),
+        BLOCK_DEGRADE: (block, lost),
+        ANY_BLOCK_DEGRADE: (any_block, count),
+    }
+
+
 class TestNodeTarget:
     def test_integer_load_is_the_closed_form(self):
         for n in (5, 10, 30, 50, 100, 150, 1000):
@@ -120,6 +140,8 @@ class TestMemoryBudget:
         run_assumption_trials(RegenParams(50, 2450), 3000, master_seed=1)
         for protocol in ("read", "write"):
             run_rw_trials(protocol, 1000, 1000, 3000, master_seed=1)
+        run_protocol_trials(10, 300, 500, master_seed=1)
+        run_protocol_trials(30, budget // 3, 2, master_seed=1)  # one trial at the placement cap
         assert 0 < largest <= budget
 
 
@@ -131,6 +153,8 @@ class TestChunking:
                 run_assumption_trials(RegenParams(10, 14), 300, master_seed=4),
                 run_rw_trials("read", 30, 40, 300, master_seed=4),
                 run_rw_trials("write", 30, 40, 300, master_seed=4),
+                run_protocol_trials(5, 5, 300, master_seed=4),  # at most 16 // 3 blocks
+                run_protocol_trials(10, 5, 300, master_seed=4),
             )
 
         want = run_all()
@@ -224,6 +248,14 @@ class TestAssumptionTrials:
 
 
 class TestProtocolTrials:
+    def test_matches_single_trial_loop(self):
+        over_batch = (trials._CHUNK_ELEMS >> 4) // 3 + 1  # one trial is larger than a batch
+        for n, b_total, count in ((5, 7, 300), (10, 1, 300), (10, 300, 300), (30, 2900, 100),
+                                  (50, 40833, 10), (10, over_batch, 10)):
+            est = run_protocol_trials(n, b_total, count, master_seed=19)
+            got = {metric: (summary.successes, summary.trials) for metric, summary in est.items()}
+            assert got == _protocol_reference(n, b_total, count, 19), (n, b_total)
+
     def test_deterministic_even_single_trial(self):
         one = run_protocol_trials(10, 300, 1, master_seed=77)
         two = run_protocol_trials(10, 300, 1, master_seed=77)
