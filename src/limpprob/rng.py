@@ -70,9 +70,13 @@ def stream_uniform(state: int, position: int) -> float:
 
 
 def _avalanche_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _SH30)) * _U_MIX_A
-    z = (z ^ (z >> _SH27)) * _U_MIX_B
-    return z ^ (z >> _SH31)
+    """SplitMix64 finalizer, in place on a uint64 array the caller owns; returns z."""
+    z ^= z >> _SH30
+    z *= _U_MIX_A
+    z ^= z >> _SH27
+    z *= _U_MIX_B
+    z ^= z >> _SH31
+    return z
 
 
 def uniforms_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -81,8 +85,11 @@ def uniforms_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
     Both arguments must be uint64 arrays (or broadcastable shapes thereof).
     """
     with np.errstate(over="ignore"):  # wraparound mod 2**64 is the algorithm
-        z = states + (positions + _U_ONE) * _U_GOLDEN
-        return (_avalanche_np(z) >> _SH11).astype(np.float64) * _INV53
+        z = _avalanche_np(states + (positions + _U_ONE) * _U_GOLDEN)
+        z >>= _SH11
+        u = z.astype(np.float64)
+        u *= _INV53
+        return u
 
 
 def to_index(u: np.ndarray, bound: int) -> np.ndarray:
@@ -97,8 +104,7 @@ def trial_states_np(master_seed: int, trial_indices: np.ndarray) -> np.ndarray:
     """Vectorized per-trial base states."""
     seed = np.uint64(master_seed & MASK64)
     with np.errstate(over="ignore"):
-        z = seed + (trial_indices.astype(np.uint64) + _U_ONE) * _U_GOLDEN
-        return _avalanche_np(z)
+        return _avalanche_np(seed + (trial_indices.astype(np.uint64) + _U_ONE) * _U_GOLDEN)
 
 
 class TrialStream:

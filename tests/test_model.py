@@ -207,6 +207,102 @@ class TestBlockBreakdown:
                 assert split.one_on_slow == pytest.approx(want_slow, rel=1e-10)
 
 
+def _binomial_pmf_full(count, p):
+    """The full 0..count log-gamma loop that preceded the pmf window."""
+    if p <= 0.0:
+        return [1.0] + [0.0] * count
+    if p >= 1.0:
+        return [0.0] * count + [1.0]
+    log_p = math.log(p)
+    log_q = math.log1p(-p)
+    lg_n = math.lgamma(count + 1)
+    mass = []
+    for i in range(count + 1):
+        log_coeff = lg_n - math.lgamma(i + 1) - math.lgamma(count - i + 1)
+        mass.append(math.exp(log_coeff + i * log_p + (count - i) * log_q))
+    return mass
+
+
+def _full_reference(params):
+    """pmf, (both, one_slow, total) and any-block from the O(n) loops over 1..n-2."""
+    n = params.n
+    pmf = _binomial_pmf_full(n - 2, node_degrade_prob(params))
+    pairs = math.comb(n - 1, 2)
+    both = 0.0
+    one_slow = 0.0
+    for i in range(1, n - 1):
+        one_slow += pmf[i] * i / pairs
+        if i >= 2:
+            both += pmf[i] * math.comb(i, 2) / pairs
+    total = both + one_slow
+    if params.b == 0 or total == 0.0:
+        any_block = 0.0
+    elif total >= 1.0:
+        any_block = 1.0
+    else:
+        any_block = -math.expm1(params.b * math.log1p(-total))
+    return pmf, (both, one_slow, total), any_block
+
+
+window_points = [
+    RegenParams(n, b)
+    for n in range(5, 151)
+    for b in sorted({0, 1, n - 1, 2 * (n - 1) + 3, 10 * (n - 1), 50 * (n - 1), 1000 * (n - 1), 20000 * (n - 1)})
+] + [RegenParams(n, f * (n - 1)) for n in (10_000 + 7 * k for k in range(8)) for f in (1, 10, 50)]
+
+
+class TestPmfWindow:
+    def test_bit_identical_to_full_loop(self):
+        # every term outside the window is exactly 0.0, so skipping it must
+        # not change a single bit of any output
+        failures = []
+        for params in window_points:
+            pmf, split_want, any_want = _full_reference(params)
+            split = block_degrade_breakdown(params)
+            got = [split.both_on_degraded, split.one_on_slow, split.total, any_block_degrade_prob(params)]
+            if [v.hex() for v in got] != [v.hex() for v in (*split_want, any_want)]:
+                failures.append((params.n, params.b, "breakdown"))
+            if [v.hex() for v in degraded_node_count_pmf(params).mass] != [v.hex() for v in pmf]:
+                failures.append((params.n, params.b, "pmf"))
+        assert not failures, failures[:5]
+
+    @pytest.mark.parametrize("factor", [1, 10, 50, 20000])
+    def test_cost_is_flat_in_n(self, monkeypatch, factor):
+        # the full loop makes 3 * 10**7 lgamma calls at this n
+        calls = 0
+        lgamma = math.lgamma
+
+        def counting_lgamma(x):
+            nonlocal calls
+            calls += 1
+            return lgamma(x)
+
+        monkeypatch.setattr(math, "lgamma", counting_lgamma)
+        n = 10**7
+        block_degrade_breakdown(RegenParams(n, factor * (n - 1)))
+        assert calls <= 2_000
+
+    def test_moment_drift_within_lgamma_ulps(self):
+        # each pmf term's exponent is rounded to about ulp(lgamma(n)), so the
+        # sums may drift from the moment forms by a few of those, relative
+        # (measured: at most 2.3 ulps over 400 random points, n = 1e4..1e7);
+        # criterion 4 keeps its 1e-10 bound at n <= 150
+        failures = []
+        for n in (10**4, 10**5, 3 * 10**5, 10**6, 10**7):
+            bound = 4 * math.ulp(math.lgamma(n))
+            for factor in (2, 10, 50, 20000):
+                params = RegenParams(n, factor * (n - 1))
+                split = block_degrade_breakdown(params)
+                p_node = node_degrade_prob(params)
+                pairs = math.comb(n - 1, 2)
+                want_both = math.comb(n - 2, 2) * p_node * p_node / pairs
+                want_slow = (n - 2) * p_node / pairs
+                for got, want in ((split.both_on_degraded, want_both), (split.one_on_slow, want_slow)):
+                    if abs(got - want) / want > bound:
+                        failures.append((n, factor, abs(got - want) / want / math.ulp(math.lgamma(n))))
+        assert not failures, failures
+
+
 class TestAnyBlock:
     def test_examples(self):
         assert any_block_degrade_prob(RegenParams(10, 9)) == 0.0

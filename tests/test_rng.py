@@ -44,6 +44,18 @@ def test_trial_states_vectorized_agree():
     assert [int(v) for v in vec] == [trial_state(123, int(i)) for i in idx]
 
 
+def test_vector_functions_leave_inputs_unchanged():
+    # the avalanche mixes in place, so it must only ever touch arrays it made
+    states = trial_states_np(9, np.arange(4))[:, None]
+    positions = np.arange(6, dtype=np.uint64)
+    indices = np.arange(4)
+    kept = (states.copy(), positions.copy(), indices.copy())
+    uniforms_np(states, positions)
+    trial_states_np(9, indices)
+    for before, after in zip(kept, (states, positions, indices)):
+        assert np.array_equal(before, after)
+
+
 def test_streams_replay():
     a = TrialStream(42, 7)
     b = TrialStream(42, 7)
