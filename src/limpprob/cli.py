@@ -252,6 +252,17 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _integer(key: str, value) -> int:
+    """A config value as an int: an integral number or a string of digits, never a bool."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParamsError(f"{key} must be an integer, got {value!r}") from exc
+    if isinstance(value, bool) or (isinstance(value, float) and value != number):
+        raise InvalidParamsError(f"{key} must be an integer, got {value!r}")
+    return number
+
+
 def _effective(args: argparse.Namespace, command_defaults: dict | None = None) -> dict:
     """Merge CLI > config file > defaults; protocol and figure have no default."""
     defaults = {**DEFAULTS, **(command_defaults or {})}
@@ -265,10 +276,13 @@ def _effective(args: argparse.Namespace, command_defaults: dict | None = None) -
             merged[key] = config[key]
         elif key in defaults:
             merged[key] = defaults[key]
-    merged["trials"] = int(merged["trials"])
-    merged["seed"] = int(merged["seed"]) & ((1 << 64) - 1)
-    merged["workers"] = int(merged["workers"])
-    merged["tolerance"] = float(merged["tolerance"])
+    for key in ("trials", "seed", "workers"):
+        merged[key] = _integer(key, merged[key])
+    merged["seed"] &= (1 << 64) - 1
+    try:
+        merged["tolerance"] = float(merged["tolerance"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidParamsError(f"tolerance must be a number, got {merged['tolerance']!r}") from exc
     if merged["mode"] not in ("analytic", "simulate", "both"):
         raise InvalidParamsError(f"bad mode {merged['mode']!r}")
     if merged["sim"] not in ("assumption", "protocol"):

@@ -16,6 +16,11 @@ finalizer and step constants, used here in counter mode.  Scalar (pure
 Python) and vectorized (numpy uint64) evaluations produce identical bits;
 tests pin both.
 
+A position's value depends on nothing but (state, position): never on which
+other positions were read, or in what order.  So a sampler may read any
+subset of a trial's positions, e.g. only the ones that can still change its
+outcome, and the positions it does read keep their values.
+
 Stream layouts per trial (changing one changes simulated CSV rows):
 assumption sampler: one node indicator per good node at [0, n-2), the
 survivor pair at n-2 and n-1, then any-block block j at n+3j (with-slow

@@ -81,6 +81,14 @@ def _summary(metric: str, successes: int, observations: int, master_seed: int) -
     return EstimateSummary.from_counts(metric, successes, observations, master_seed)
 
 
+def _holds_node_zero(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
+    """Whether the :func:`limpprob.sim._distinct_triples` triple of raw uniforms holds node 0.
+
+    It does iff one of its three raw indices is 0, and node 0 then sorts first.
+    """
+    return (u0 * n < 1.0) | (u1 * (n - 1) < 1.0) | (u2 * (n - 2) < 1.0)
+
+
 def run_protocol_trials(
     n: int, b_total: int, trials: int, master_seed: int, workers: int = 1
 ) -> dict[str, EstimateSummary]:
@@ -118,13 +126,12 @@ def run_protocol_trials(
         node_hits = cluster_hits = block_hits = lost_total = any_hits = 0
         for lo in range(start, stop, rows):
             states = trial_states_np(master_seed, np.arange(lo, min(stop, lo + rows), dtype=np.int64))
-            # placement: a block holds node 0 iff one of its raw indices in
-            # _distinct_triples is 0, so only lost blocks get a sorted triple
+            # placement: only lost blocks get a sorted triple
             trial_parts, u_parts = [], []
             for first in range(0, b_total, cols):
                 positions = np.arange(3 * first, 3 * min(b_total, first + cols), dtype=np.uint64)
                 u = uniforms_np(states[:, None], positions).reshape(states.size, -1, 3)
-                lost = (u[..., 0] * n < 1.0) | (u[..., 1] * (n - 1) < 1.0) | (u[..., 2] * (n - 2) < 1.0)
+                lost = _holds_node_zero(u[..., 0], u[..., 1], u[..., 2], n)
                 trial, block = np.nonzero(lost)
                 trial_parts.append(trial)
                 u_parts.append(u[trial, block])
@@ -182,23 +189,24 @@ def _node_target(n: int, b: int) -> float:
 def _count_hit_trials(master_seed: int, start: int, stop: int, count: int, base: int, slots: int, hits) -> int:
     """How many trials in [start, stop) have at least one of count elements hit.
 
-    Element j reads stream positions [base + j*slots, base + (j+1)*slots);
-    hits maps (trials, width, slots) uniforms to (trials, width) flags.
-    Rounds start at width 1 and double while the array fits _CHUNK_ELEMS;
-    hit trials drop out between rounds, so at most about twice the draws up
-    to a trial's first hit are spent, and the count is chunking-independent.
+    Element j owns stream positions [base + j*slots, base + (j+1)*slots).
+    hits(states, firsts) maps the live trial states and a round's element
+    base positions (a uint64 vector) to (states, firsts) flags; it draws
+    whichever slots firsts + k its outcome still depends on, each array at
+    most len(states) * len(firsts) elements.  Rounds start at width 1 and
+    double while that fits _CHUNK_ELEMS; hit trials drop out between rounds,
+    so at most about twice the elements up to a trial's first hit are
+    visited, and the count is chunking-independent.
     """
     hit_trials = 0
-    step = max(1, _CHUNK_ELEMS // slots)
-    for lo in range(start, stop, step):
-        alive = trial_states_np(master_seed, np.arange(lo, min(stop, lo + step), dtype=np.int64))
+    for lo in range(start, stop, _CHUNK_ELEMS):
+        alive = trial_states_np(master_seed, np.arange(lo, min(stop, lo + _CHUNK_ELEMS), dtype=np.int64))
         size = alive.size
         j, width = 0, 1
         while j < count and alive.size:
-            width = min(width, count - j, max(1, _CHUNK_ELEMS // (alive.size * slots)))
-            positions = np.arange(base + j * slots, base + (j + width) * slots, dtype=np.uint64)
-            u = uniforms_np(alive[:, None], positions).reshape(alive.size, width, slots)
-            alive = alive[~hits(u).any(axis=1)]
+            width = min(width, count - j, max(1, _CHUNK_ELEMS // alive.size))
+            firsts = np.arange(base + j * slots, base + (j + width) * slots, slots, dtype=np.uint64)
+            alive = alive[~hits(alive, firsts).any(axis=1)]
             j += width
             width *= 2
         hit_trials += size - alive.size
@@ -226,9 +234,14 @@ def run_assumption_trials(
     q = _node_target(n, b)
     rows, cols = max(1, _CHUNK_ELEMS // good), min(good, _CHUNK_ELEMS)  # node pass chunks
 
-    def block_degraded(u: np.ndarray) -> np.ndarray:
-        # holder 1 degraded, and holder 2 the slow node (odds 2/(n-1)) or degraded
-        return (u[..., 1] < q) & ((u[..., 0] < 2.0 / (n - 1)) | (u[..., 2] < q))
+    def block_degraded(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+        # holder 1 degraded, and holder 2 the slow node (odds 2/(n-1)) or degraded;
+        # the coin and holder 2 are drawn only where holder 1 is degraded
+        hit = uniforms_np(states[:, None], firsts + 1) < q
+        trial, block = np.nonzero(hit)
+        states, firsts = states[trial], firsts[block]
+        hit[trial, block] = (uniforms_np(states, firsts) < 2.0 / (n - 1)) | (uniforms_np(states, firsts + 2) < q)
+        return hit
 
     def counts(start: int, stop: int):
         node_hits = cluster_hits = block_hits = 0
@@ -267,25 +280,31 @@ def run_rw_trials(
     """Estimate the chance that at least one of r requests touches the slow node.
 
     Reads draw a uniform placement then a uniform replica choice; writes draw
-    a uniform 3-node pipeline.  The slow node is id 0.  Requests within a
-    trial stop early once one touches the slow node (later requests cannot
-    change the indicator).
+    a uniform 3-node pipeline.  The slow node is id 0, so a write touches it
+    iff :func:`_holds_node_zero`, and a read iff also its choice picks the
+    first replica (u3*3 < 1); a read's placement is drawn only where it does.
+    Requests within a trial stop early once one touches the slow node (later
+    requests cannot change the indicator).
     """
     if protocol not in ("read", "write"):
         raise InvalidParamsError(f"protocol must be 'read' or 'write', got {protocol!r}")
     ClusterParams(n)
     WorkloadParams(r)
     _check_trials(trials)
-    slots = 4 if protocol == "read" else 3
 
-    def touched(u: np.ndarray) -> np.ndarray:
-        triple = _distinct_triples(u[..., :3].reshape(-1, 3), n)
-        if protocol == "read":
-            choice = to_index(u[..., 3].reshape(-1), 3)
-            hit = triple[np.arange(choice.size), choice] == 0
-        else:
-            hit = (triple == 0).any(axis=1)
-        return hit.reshape(u.shape[:2])
+    def holds_slow(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+        return _holds_node_zero(*(uniforms_np(states, firsts + k) for k in range(3)), n)
+
+    def read_touched(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+        hit = uniforms_np(states[:, None], firsts + 3) * 3 < 1.0
+        trial, request = np.nonzero(hit)
+        hit[trial, request] = holds_slow(states[trial], firsts[request])
+        return hit
+
+    if protocol == "read":
+        slots, touched = 4, read_touched
+    else:
+        slots, touched = 3, lambda states, firsts: holds_slow(states[:, None], firsts)
 
     def counts(start: int, stop: int):
         return [_count_hit_trials(master_seed, start, stop, r, 0, slots, touched)]

@@ -283,6 +283,27 @@ class TestConfig:
         code, _, err = _run(capsys, "sweep", "--config", str(config))
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "abc"), ("trials", 1.5), ("trials", True), ("trials", [10]),
+        ("workers", "abc"), ("workers", 1.5), ("workers", True),
+        ("seed", "abc"), ("seed", 1.5), ("seed", None),
+        ("tolerance", "abc"), ("tolerance", [0.1]),
+    ])
+    def test_bad_number_in_config_exits_2(self, tmp_path, capsys, key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        code, _, err = _run(capsys, "sweep", "--config", str(config), "--protocol", "read", "--show-config")
+        assert code == 2
+        assert key in err
+
+    def test_integral_numbers_in_config_accepted(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"trials": "500", "workers": 1.0, "seed": -1, "tolerance": "0.05"}))
+        code, out, _ = _run(capsys, "sweep", "--config", str(config), "--protocol", "read", "--show-config")
+        assert code == 0
+        cfg = json.loads(out)
+        assert (cfg["trials"], cfg["workers"], cfg["seed"], cfg["tolerance"]) == (500, 1, (1 << 64) - 1, 0.05)
+
     def test_json_lists_accepted_for_every_grid_key(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"nodes": [10, 20], "requests": [1, 3], "blocks": [9]}))

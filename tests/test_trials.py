@@ -145,6 +145,41 @@ class TestMemoryBudget:
         assert 0 < largest <= budget
 
 
+def _draws_by_slot(monkeypatch, base, slots, run):
+    """Uniforms drawn at positions >= base while run() runs, counted by (position - base) % slots."""
+    drawn = np.zeros(slots, dtype=np.int64)
+    draw = trials.uniforms_np
+
+    def counting(states, positions):
+        u = draw(states, positions)
+        pos = np.broadcast_to(positions, u.shape)
+        pos = pos[pos >= base].astype(np.int64) - base
+        drawn[:] += np.bincount(pos % slots, minlength=slots)
+        return u
+
+    monkeypatch.setattr(trials, "uniforms_np", counting)
+    run()
+    return drawn
+
+
+class TestLazyDraws:
+    """The early-exit predicates draw a slot only where the outcome still depends on it."""
+
+    def test_any_block_draws_coin_and_holder_two_only_under_a_degraded_holder_one(self, monkeypatch):
+        n, b = 50, 490
+        q = _node_target(n, b)
+        drawn = _draws_by_slot(monkeypatch, n, 3, lambda: run_assumption_trials(RegenParams(n, b), 2000, 1))
+        visited = drawn[1]  # holder 1 is drawn for every visited block
+        assert visited > 2000
+        assert drawn.sum() <= (1 + 2 * q) * 1.1 * visited
+
+    def test_read_draws_placement_only_when_choosing_the_first_replica(self, monkeypatch):
+        drawn = _draws_by_slot(monkeypatch, 0, 4, lambda: run_rw_trials("read", 50, 100, 2000, 1))
+        visited = drawn[3]  # the replica choice is drawn for every visited request
+        assert visited > 2000
+        assert drawn.sum() <= 2.2 * visited
+
+
 class TestChunking:
     def test_tiny_budget_gives_identical_results(self, monkeypatch):
         def run_all():
@@ -170,6 +205,10 @@ class TestRwTrials:
             assert est.successes == _rw_reference(protocol, n, r, 3000, 17)
             assert est.trials == 3000
 
+    @pytest.mark.parametrize("protocol", ["read", "write"])
+    def test_matches_one_request_loop_at_five_nodes(self, protocol):
+        est = run_rw_trials(protocol, 5, 1000, 3000, master_seed=17)
+        assert est.successes == _rw_reference(protocol, 5, 1000, 3000, 17)
 
     def test_read_single_request_matches_placement_law(self):
         est = run_rw_trials("read", 10, 1, 1_000_000, master_seed=11)
@@ -240,6 +279,13 @@ class TestAssumptionTrials:
             est = run_assumption_trials(RegenParams(n, b), 300, master_seed=31)
             got = [est[m].successes for m in (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)]
             assert got == _assumption_reference(n, b, 300, 31)
+
+    def test_matches_scalar_stream_layout_at_low_high_and_fractional_q(self):
+        # q = 0.018 at (50, 490), 0.92 at (10, 450); m = 14/9 at (10, 14)
+        for n, b in ((50, 490), (10, 450), (10, 14)):
+            est = run_assumption_trials(RegenParams(n, b), 100, master_seed=31)
+            got = [est[m].successes for m in (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)]
+            assert got == _assumption_reference(n, b, 100, 31), (n, b)
 
     def test_interval_shape(self):
         est = run_assumption_trials(RegenParams(30, 290), 20_000, master_seed=8)
