@@ -9,7 +9,6 @@ from .errors import (
     BudgetExceededError,
     InvalidParamsError,
     LowLoadWarning,
-    PlanMismatchError,
 )
 from .model import (
     BlockDegradeBreakdown,
@@ -28,17 +27,6 @@ from .model import (
 )
 from .oracle import enum_read_prob, enum_slow_dest_prob, enum_write_prob
 from .params import ClusterParams, Probability, RegenParams, WorkloadParams
-from .rng import TrialStream
-from .sim import (
-    Placement,
-    RegenPlan,
-    RegenScenario,
-    TrialOutcome,
-    classify_outcome,
-    gen_placement,
-    make_scenario,
-    plan_regeneration,
-)
 from .stats import EstimateSummary, wilson_interval
 from .trials import (
     ANY_BLOCK_DEGRADE,
@@ -66,29 +54,19 @@ __all__ = [
     "InvalidParamsError",
     "LowLoadWarning",
     "NODE_DEGRADE",
-    "Placement",
-    "PlanMismatchError",
     "Probability",
     "READ_USER_DEGRADE",
     "RegenParams",
-    "RegenPlan",
-    "RegenScenario",
-    "TrialOutcome",
-    "TrialStream",
     "WRITE_USER_DEGRADE",
     "WorkloadParams",
     "any_block_degrade_prob",
     "block_degrade_breakdown",
-    "classify_outcome",
     "cluster_degrade_prob",
     "degraded_node_count_pmf",
     "enum_read_prob",
     "enum_slow_dest_prob",
     "enum_write_prob",
-    "gen_placement",
-    "make_scenario",
     "node_degrade_prob",
-    "plan_regeneration",
     "read_degrade_prob",
     "read_user_degrade_prob",
     "regen_load",

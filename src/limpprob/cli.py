@@ -210,11 +210,8 @@ def _parse_nodes(text) -> list[int]:
     if isinstance(text, str) and ".." in text:
         span, _, stride_s = text.strip().partition(":")
         lo_s, _, hi_s = span.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-            stride = int(stride_s) if stride_s else 1
-        except ValueError as exc:
-            raise InvalidParamsError(f"bad node spec {text!r}: {exc}") from exc
+        lo, hi = _integer("nodes", lo_s), _integer("nodes", hi_s)
+        stride = _integer("nodes", stride_s) if stride_s else 1
         if stride < 1 or hi < lo:
             raise InvalidParamsError(f"bad node range {text!r}")
         return list(range(lo, hi + 1, stride))
@@ -222,12 +219,9 @@ def _parse_nodes(text) -> list[int]:
 
 
 def _parse_int_list(text, what: str) -> list[int]:
-    """Accepts an int, a comma list 'A,B,C' or a JSON list."""
+    """Accepts an int, a comma list 'A,B,C' or a JSON list; a repeated value is kept once."""
     parts = text if isinstance(text, (list, tuple)) else [p for p in str(text).split(",") if p.strip()]
-    try:
-        values = [int(v) for v in parts]
-    except (TypeError, ValueError) as exc:
-        raise InvalidParamsError(f"bad {what} list {text!r}: {exc}") from exc
+    values = list(dict.fromkeys(_integer(what, v) for v in parts))
     if not values:
         raise InvalidParamsError(f"empty {what} list {text!r}")
     if any(v < 0 for v in values):
@@ -253,7 +247,7 @@ def _load_config(path: str) -> dict:
 
 
 def _integer(key: str, value) -> int:
-    """A config value as an int: an integral number or a string of digits, never a bool."""
+    """A config or grid-list value as an int: an integral number or a string of digits, never a bool."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -364,7 +358,7 @@ def cmd_sweep(cfg: dict) -> int:
 def _compare_protocols(cfg: dict) -> list[str]:
     raw = cfg.get("protocol")
     if raw:
-        return [_check_protocol(p.strip()) for p in str(raw).split(",") if p.strip()]
+        return list(dict.fromkeys(_check_protocol(p.strip()) for p in str(raw).split(",") if p.strip()))
     if cfg["sim"] == "protocol":
         # the closed form for "at least one degraded block" assumes blocks
         # degrade independently; full protocol replays expose that assumption,

@@ -9,10 +9,6 @@ class BudgetExceededError(InvalidParamsError):
     """Raised when an exhaustive enumeration is asked to run beyond its size budget."""
 
 
-class PlanMismatchError(ValueError):
-    """Raised when a regeneration plan does not cover exactly the scenario's lost blocks."""
-
-
 class LowLoadWarning(UserWarning):
     """Per-node regeneration load is below two tasks; the degraded-node model is
     an extrapolation there (fewer than two copy tasks can never stall two threads)."""

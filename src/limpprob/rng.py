@@ -28,7 +28,9 @@ coin), n+3j+1 and n+3j+2 (holders 1 and 2).  Reads: request j at [4j, 4j+3)
 (placement) and 4j+3 (replica choice); writes: [3j, 3j+3).  Protocol:
 placed block i at [3i, 3i+3) (its three raw replica indices), then the k-th
 lost block in block-id order, k = 0, 1, ..., at 3*b_total + 2k (source coin)
-and 3*b_total + 2k + 1 (destination rank).
+and 3*b_total + 2k + 1 (destination rank).  The protocol layout is pinned
+by a per-trial replay in tests/test_trials.py that reads it through
+:class:`TrialStream` and applies the protocol rules block by block.
 """
 
 from __future__ import annotations

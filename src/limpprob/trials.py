@@ -6,8 +6,7 @@ Three flavors:
   (random placement, crash, per-block source/destination choice) and is
   expected to agree with the closed forms only approximately.  It is a
   batched kernel over whole trials that builds replica triples for lost
-  blocks only; the single-trial functions in :mod:`limpprob.sim` are its
-  reference and give the same counts.
+  blocks only.
 * :func:`run_assumption_trials` samples the closed-form model's own
   assumptions (good nodes degrade independently, block copies land on a
   uniform survivor pair, blocks are independent), so its estimates converge
@@ -34,7 +33,6 @@ from .errors import InvalidParamsError
 from .model import _at_least_two_hits
 from .params import ClusterParams, Probability, RegenParams, WorkloadParams
 from .rng import to_index, trial_states_np, uniforms_np
-from .sim import _distinct_triples
 from .stats import EstimateSummary
 
 NODE_DEGRADE = "node_degrade"
@@ -81,8 +79,21 @@ def _summary(metric: str, successes: int, observations: int, master_seed: int) -
     return EstimateSummary.from_counts(metric, successes, observations, master_seed)
 
 
+def _distinct_triples(u: np.ndarray, n: int) -> np.ndarray:
+    """Map a (k, 3) uniform block to k sorted uniform 3-subsets of range(n)."""
+    i1 = to_index(u[:, 0], n)
+    i2 = to_index(u[:, 1], n - 1)
+    i2 += i2 >= i1
+    i3 = to_index(u[:, 2], n - 2)
+    lo = np.minimum(i1, i2)
+    hi = np.maximum(i1, i2)
+    i3 += i3 >= lo
+    i3 += i3 >= hi
+    return np.sort(np.stack([i1, i2, i3], axis=1), axis=1)
+
+
 def _holds_node_zero(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
-    """Whether the :func:`limpprob.sim._distinct_triples` triple of raw uniforms holds node 0.
+    """Whether the :func:`_distinct_triples` triple of raw uniforms holds node 0.
 
     It does iff one of its three raw indices is 0, and node 0 then sorts first.
     """
@@ -94,19 +105,22 @@ def run_protocol_trials(
 ) -> dict[str, EstimateSummary]:
     """Estimate degraded-node/cluster/block probabilities from full protocol replays.
 
-    Each trial places b_total blocks, crashes node 0 and marks node 1 slow
-    (uniform placement makes the identities irrelevant), plans regeneration
-    and classifies the outcome.  The kernel runs batches of whole trials and
-    reads the stream positions that :func:`limpprob.sim.gen_placement`,
-    :func:`~limpprob.sim.make_scenario`, :func:`~limpprob.sim.plan_regeneration`
-    and :func:`~limpprob.sim.classify_outcome` read for one trial; those
-    functions are its reference and give the same counts.  Only lost blocks
-    get a replica triple.  The node-degrade estimate averages over all good
-    nodes; the block-degrade estimate averages over all lost blocks of all
-    trials.  Placement uniforms are drawn at most _CHUNK_ELEMS >> 4 at a
-    time: whole trials per batch, or one larger trial in block chunks.
-    b_total is capped at _CHUNK_ELEMS // 3 = 349,525 so that one trial's
-    lost-block arrays fit the memory budget.
+    Each trial places b_total blocks, each on a uniform 3-subset of the n
+    nodes, crashes node 0 and marks node 1 slow (uniform placement makes the
+    identities irrelevant).  Each lost block (one that held node 0) gets a
+    source, a uniform one of its 2 live holders, and a destination, a uniform
+    one of the n-3 live nodes holding no copy.  Copies to the slow node never
+    finish and all others are instant, so a good node is degraded when at
+    least 2 of the tasks it sources go to node 1, the cluster when every good
+    node is, and a lost block when each live holder is node 1 or degraded.
+    The kernel runs batches of whole trials and reads the stream positions
+    documented in :mod:`limpprob.rng`; only lost blocks get a replica triple.
+    The node-degrade estimate averages over all good nodes; the block-degrade
+    estimate averages over all lost blocks of all trials.  Placement uniforms
+    are drawn at most _CHUNK_ELEMS >> 4 at a time: whole trials per batch, or
+    one larger trial in block chunks.  b_total is capped at
+    _CHUNK_ELEMS // 3 = 349,525 so that one trial's lost-block arrays fit the
+    memory budget.
     """
     if not isinstance(n, int) or n < 5:
         raise InvalidParamsError(f"protocol trials need an integer n >= 5, got {n!r}")

@@ -137,6 +137,17 @@ class TestCompare:
         rows = _read_rows(out)
         assert {r[4] for r in rows} == {"analytic", "simulated"}
 
+    @pytest.mark.parametrize("protocols, nodes", [("read,read", "10"), ("read", "10,10")])
+    def test_repeated_grid_entry_runs_once(self, tmp_path, capsys, protocols, nodes):
+        out = tmp_path / "cmp.csv"
+        code, text, _ = _run(
+            capsys, "compare", "--protocol", protocols, "--nodes", nodes, "--requests", "1,1",
+            "--trials", "2000", "--seed", "5", "--out", str(out),
+        )
+        assert code == 0
+        assert "1/1 ok" in text
+        assert len(_read_rows(out)) == 2
+
     def test_unknown_protocol_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "compare", "--protocol", "regen-everything")
         assert code == 2
@@ -314,6 +325,18 @@ class TestConfig:
         assert [(r[1], r[2]) for r in _read_rows(out)] == [
             ("10", "1"), ("10", "3"), ("20", "1"), ("20", "3"),
         ]
+
+    @pytest.mark.parametrize("key, value", [
+        ("blocks", [90.7]), ("blocks", [90, True]), ("nodes", [10.9]), ("requests", [1, 2.5]),
+    ])
+    def test_non_integral_grid_element_exits_2(self, tmp_path, capsys, key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"nodes": [10], key: value}))
+        protocol = "read" if key == "requests" else "regen-node"
+        out = tmp_path / "x.csv"
+        code, _, err = _run(capsys, "sweep", "--protocol", protocol, "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert key in err and not out.exists()
 
     def test_no_temp_files_left_behind(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

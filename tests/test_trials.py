@@ -8,10 +8,13 @@ master seed, so these tests are stable.
 
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limpprob import (
     ANY_BLOCK_DEGRADE,
@@ -21,6 +24,7 @@ from limpprob import (
     InvalidParamsError,
     RegenParams,
     block_degrade_breakdown,
+    enum_slow_dest_prob,
     node_degrade_prob,
     run_assumption_trials,
     run_protocol_trials,
@@ -28,8 +32,7 @@ from limpprob import (
     trials,
 )
 from limpprob.rng import TrialStream, stream_uniform, to_index, trial_state, trial_states_np, uniforms_np
-from limpprob.sim import _distinct_triples, classify_outcome, gen_placement, make_scenario, plan_regeneration
-from limpprob.trials import _node_target, _partition
+from limpprob.trials import _distinct_triples, _node_target, _partition
 
 NODE_10_90 = 0.36110217217355966568
 CLUSTER_10_500 = 0.95789415572912219584
@@ -81,24 +84,62 @@ def _assumption_reference(n, b, count, seed):
     return [node, cluster, block, any_block]
 
 
+def _regen_plan(n, b_total, stream):
+    """Replay one trial's placement and plan: (live holders, source, destination) per lost block.
+
+    Node 0 crashes, so the lost blocks are the placed rows that hold it, in
+    block-id order; the source is a holder picked by a coin and the
+    destination is one of the n-3 live nodes that hold no copy, by rank.
+    """
+    rows = _distinct_triples(stream.uniforms(3 * b_total).reshape(-1, 3), n).tolist()
+    holders = [[h for h in row if h != 0] for row in rows if 0 in row]
+    plan = stream.uniforms(2 * len(holders)).reshape(-1, 2).tolist()
+    out = []
+    for live, (coin, rank) in zip(holders, plan):
+        eligible = [v for v in range(1, n) if v not in live]
+        out.append((live, live[0] if coin < 0.5 else live[1], eligible[min(int(rank * (n - 3)), n - 4)]))
+    return out
+
+
 def _protocol_reference(n, b_total, count, seed):
-    """One trial at a time through the single-trial sim functions: the counts run_protocol_trials must match."""
+    """Per-trial replay of the protocol rules, slow node 1: the counts run_protocol_trials must match."""
     node = cluster = block = lost = any_block = 0
     for t in range(count):
-        stream = TrialStream(seed, t)
-        scenario = make_scenario(gen_placement(n, b_total, stream), crashed=0, slow=1)
-        outcome = classify_outcome(scenario, plan_regeneration(scenario, stream))
-        node += len(outcome.degraded_nodes)
-        cluster += outcome.cluster_degraded
-        block += outcome.degraded_block_count
-        lost += scenario.lost_blocks.size
-        any_block += outcome.degraded_block_count > 0
+        plan = _regen_plan(n, b_total, TrialStream(seed, t))
+        to_slow = Counter(source for _, source, dest in plan if dest == 1)
+        degraded = {v for v in range(2, n) if to_slow[v] >= 2}
+        hit = sum(all(h == 1 or h in degraded for h in live) for live, _, _ in plan)
+        node += len(degraded)
+        cluster += len(degraded) == n - 2
+        block += hit
+        lost += len(plan)
+        any_block += hit > 0
     return {
         NODE_DEGRADE: (node, count * (n - 2)),
         CLUSTER_DEGRADE: (cluster, count),
         BLOCK_DEGRADE: (block, lost),
         ANY_BLOCK_DEGRADE: (any_block, count),
     }
+
+
+class TestDistinctTriples:
+    """The placement law: each row a uniform 3-subset of range(n), sorted."""
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_rows_sorted_distinct_and_in_range(self, n):
+        rows = _distinct_triples(TrialStream(5, 0).uniforms(3 * 5000).reshape(-1, 3), n)
+        assert rows.shape == (5000, 3)
+        assert (rows[:, 0] < rows[:, 1]).all() and (rows[:, 1] < rows[:, 2]).all()
+        assert rows.min() == 0 and rows.max() == n - 1
+
+    def test_all_subsets_reached(self):
+        rows = _distinct_triples(TrialStream(9, 0).uniforms(3 * 4000).reshape(-1, 3), 5)
+        assert len({tuple(row) for row in rows.tolist()}) == 10  # C(5,3)
+
+    def test_node_membership_frequency(self):
+        # a fixed node appears in a replica set with frequency 3/n
+        rows = _distinct_triples(TrialStream(2024, 0).uniforms(3 * 100_000).reshape(-1, 3), 10)
+        assert abs((rows == 1).any(axis=1).mean() - 0.3) <= 0.005
 
 
 class TestNodeTarget:
@@ -296,11 +337,49 @@ class TestAssumptionTrials:
 class TestProtocolTrials:
     def test_matches_single_trial_loop(self):
         over_batch = (trials._CHUNK_ELEMS >> 4) // 3 + 1  # one trial is larger than a batch
+        # (5, 60): about half the trials have a degraded cluster, so the cluster
+        # and block predicates are tested away from all-or-nothing outcomes
         for n, b_total, count in ((5, 7, 300), (10, 1, 300), (10, 300, 300), (30, 2900, 100),
-                                  (50, 40833, 10), (10, over_batch, 10)):
+                                  (50, 40833, 10), (10, over_batch, 10), (5, 60, 300)):
             est = run_protocol_trials(n, b_total, count, master_seed=19)
             got = {metric: (summary.successes, summary.trials) for metric, summary in est.items()}
             assert got == _protocol_reference(n, b_total, count, 19), (n, b_total)
+
+    @given(
+        n=st.integers(min_value=5, max_value=12),
+        b_total=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_points_match_the_replay(self, n, b_total, seed):
+        est = run_protocol_trials(n, b_total, 5, master_seed=seed)
+        got = {metric: (summary.successes, summary.trials) for metric, summary in est.items()}
+        assert got == _protocol_reference(n, b_total, 5, seed)
+
+    def test_single_stage_frequencies_match_exact_oracle(self):
+        # replay many trials at n=10 and check the two conditional laws the
+        # enumeration certifies: dest hits the slow node 1/(n-3) of the time
+        # when it holds no replica, and the non-source holder is the slow
+        # node 1/(n-2) of the time given a good source
+        n, slow = 10, 1
+        dest_hits = dest_count = 0
+        other_hits = other_count = 0
+        for trial in range(2000):
+            for (h1, h2), source, dest in _regen_plan(n, 30, TrialStream(99, trial)):
+                if slow not in (h1, h2):
+                    dest_count += 1
+                    dest_hits += dest == slow
+                if source != slow:
+                    other_count += 1
+                    other_hits += (h1 if source == h2 else h2) == slow
+        assert dest_count > 10_000 and other_count > 10_000
+        assert abs(dest_hits / dest_count - float(Fraction(1, n - 3))) <= 0.01
+        assert abs(other_hits / other_count - float(enum_slow_dest_prob(n))) <= 0.01
+
+    def test_lost_count_concentrates(self):
+        # the crashed node holds each of 1000 blocks with probability 3/10
+        est = run_protocol_trials(10, 1000, 1, master_seed=31337)
+        assert abs(est[BLOCK_DEGRADE].trials - 300) <= 30
 
     def test_deterministic_even_single_trial(self):
         one = run_protocol_trials(10, 300, 1, master_seed=77)
