@@ -324,11 +324,12 @@ def cmd_model(cfg: dict) -> int:
         raise InvalidParamsError("model needs exactly one --nodes value")
     n = nodes[0]
     if protocol in ("read", "write"):
-        per_request = analytic_value(f"{protocol}_degrade", n, None)
-        print(f"{protocol}_degrade = {_fmt(per_request)}")
+        # every line is computed before any is printed, so an error leaves stdout empty
+        lines = [f"{protocol}_degrade = {_fmt(analytic_value(f'{protocol}_degrade', n, None))}"]
         for r in _parse_int_list(cfg["requests"], "requests"):
             value = analytic_value(f"{protocol}_user_degrade", n, r)
-            print(f"{protocol}_user_degrade[r={r}] = {_fmt(value)}")
+            lines.append(f"{protocol}_user_degrade[r={r}] = {_fmt(value)}")
+        print("\n".join(lines))
         return 0
     if protocol == "regen-block":
         metrics = ["block_degrade_both", "block_degrade_one_slow", BLOCK_DEGRADE]

@@ -30,7 +30,10 @@ placed block i at [3i, 3i+3) (its three raw replica indices), then the k-th
 lost block in block-id order, k = 0, 1, ..., at 3*b_total + 2k (source coin)
 and 3*b_total + 2k + 1 (destination rank).  The protocol layout is pinned
 by a per-trial replay in tests/test_trials.py that reads it through
-:class:`TrialStream` and applies the protocol rules block by block.
+:class:`TrialStream` and applies the protocol rules block by block.  The
+protocol kernel reads the placement positions as raw 64-bit values
+(:func:`raws_into`, into buffers it reuses) and tests them against exact
+integer thresholds instead of uniforms: same positions, same values.
 """
 
 from __future__ import annotations
@@ -76,14 +79,51 @@ def stream_uniform(state: int, position: int) -> float:
     return (stream_raw(state, position) >> 11) * _INV53
 
 
-def _avalanche_np(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, in place on a uint64 array the caller owns; returns z."""
-    z ^= z >> _SH30
+def _avalanche_np(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array the caller owns; returns z.
+
+    The shifts go into scratch, a uint64 array of z's shape, when one is
+    given, and into fresh temporaries otherwise.
+    """
+    z ^= np.right_shift(z, _SH30, out=scratch)
     z *= _U_MIX_A
-    z ^= z >> _SH27
+    z ^= np.right_shift(z, _SH27, out=scratch)
     z *= _U_MIX_B
-    z ^= z >> _SH31
+    z ^= np.right_shift(z, _SH31, out=scratch)
     return z
+
+
+def step_terms_np(positions: np.ndarray) -> np.ndarray:
+    """(positions + 1) * GOLDEN mod 2**64: raw(state, pos) is the avalanche of state plus this term.
+
+    Array arithmetic wraps silently; a numpy scalar argument needs the
+    caller's ``np.errstate(over="ignore")``, as in :func:`uniforms_np`.
+    """
+    return (positions + _U_ONE) * _U_GOLDEN
+
+
+def advance_np(states: np.ndarray, count: int) -> np.ndarray:
+    """States whose position p holds the value at position p + count of ``states``."""
+    return states + np.uint64(count * GOLDEN & MASK64)
+
+
+def raws_into(out: np.ndarray, states: np.ndarray, steps: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Raw values at the positions of :func:`step_terms_np` ``steps``, hashed in out; returns out.
+
+    states and steps broadcast to out's shape, and scratch is a uint64 array
+    of that shape.  Nothing of out's size is allocated, so a caller that
+    reuses out and scratch hashes without fresh memory.
+    """
+    np.add(states, steps, out=out)
+    return _avalanche_np(out, scratch)
+
+
+def to_uniforms(raws: np.ndarray) -> np.ndarray:
+    """Uniforms (raw >> 11) * 2**-53 of a uint64 array the caller owns (shifted in place)."""
+    raws >>= _SH11
+    u = raws.astype(np.float64)
+    u *= _INV53
+    return u
 
 
 def uniforms_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -92,11 +132,7 @@ def uniforms_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
     Both arguments must be uint64 arrays (or broadcastable shapes thereof).
     """
     with np.errstate(over="ignore"):  # wraparound mod 2**64 is the algorithm
-        z = _avalanche_np(states + (positions + _U_ONE) * _U_GOLDEN)
-        z >>= _SH11
-        u = z.astype(np.float64)
-        u *= _INV53
-        return u
+        return to_uniforms(_avalanche_np(states + step_terms_np(positions)))
 
 
 def to_index(u: np.ndarray, bound: int) -> np.ndarray:
@@ -111,7 +147,7 @@ def trial_states_np(master_seed: int, trial_indices: np.ndarray) -> np.ndarray:
     """Vectorized per-trial base states."""
     seed = np.uint64(master_seed & MASK64)
     with np.errstate(over="ignore"):
-        return _avalanche_np(seed + (trial_indices.astype(np.uint64) + _U_ONE) * _U_GOLDEN)
+        return _avalanche_np(seed + step_terms_np(trial_indices.astype(np.uint64)))
 
 
 class TrialStream:

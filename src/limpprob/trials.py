@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InvalidParamsError
 from .model import _at_least_two_hits
 from .params import ClusterParams, Probability, RegenParams, WorkloadParams
-from .rng import to_index, trial_states_np, uniforms_np
+from .rng import advance_np, raws_into, step_terms_np, to_index, to_uniforms, trial_states_np, uniforms_np
 from .stats import EstimateSummary
 
 NODE_DEGRADE = "node_degrade"
@@ -100,6 +100,16 @@ def _holds_node_zero(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, n: int) -> 
     return (u0 * n < 1.0) | (u1 * (n - 1) < 1.0) | (u2 * (n - 2) < 1.0)
 
 
+def _lost_limit(k: int) -> int:
+    """The raw values below this read as index 0 of range(k).
+
+    ((raw >> 11) * 2**-53) * k < 1.0, the :func:`_holds_node_zero` rule, holds
+    iff raw < ceil(2**53 / k) << 11: with j = raw >> 11, fl(j * k) < 2**53 iff
+    j * k < 2**53, because integers below 2**53 are exact in float64.
+    """
+    return -(-(1 << 53) // k) << 11
+
+
 def run_protocol_trials(
     n: int, b_total: int, trials: int, master_seed: int, workers: int = 1
 ) -> dict[str, EstimateSummary]:
@@ -116,11 +126,14 @@ def run_protocol_trials(
     The kernel runs batches of whole trials and reads the stream positions
     documented in :mod:`limpprob.rng`; only lost blocks get a replica triple.
     The node-degrade estimate averages over all good nodes; the block-degrade
-    estimate averages over all lost blocks of all trials.  Placement uniforms
-    are drawn at most _CHUNK_ELEMS >> 4 at a time: whole trials per batch, or
-    one larger trial in block chunks.  b_total is capped at
-    _CHUNK_ELEMS // 3 = 349,525 so that one trial's lost-block arrays fit the
-    memory budget.
+    estimate averages over all lost blocks of all trials.  Placement is
+    hashed in tiles of at most _CHUNK_ELEMS >> 4 raw values: whole trials per
+    batch, or one larger trial in block chunks.  Every tile reuses two buffers
+    made once per trial range, and a block is lost when one of its raw values
+    is below its :func:`_lost_limit`, an exact integer form of
+    :func:`_holds_node_zero`; only lost blocks' raw values become uniforms.
+    b_total is capped at _CHUNK_ELEMS // 3 = 349,525 so that one trial's
+    lost-block arrays fit the memory budget.
     """
     if not isinstance(n, int) or n < 5:
         raise InvalidParamsError(f"protocol trials need an integer n >= 5, got {n!r}")
@@ -129,28 +142,40 @@ def run_protocol_trials(
     if 3 * b_total > _CHUNK_ELEMS:
         raise InvalidParamsError(f"protocol trials place at most {_CHUNK_ELEMS // 3} blocks, got {b_total}")
     _check_trials(trials)
-    budget = _CHUNK_ELEMS >> 4  # placement uniforms per batch
+    budget = _CHUNK_ELEMS >> 4  # placement hashes per tile
     rows = max(1, budget // (3 * b_total))  # whole trials per batch
-    cols = min(b_total, max(1, budget // 3))  # blocks per draw, below b_total only when rows == 1
+    cols = min(b_total, max(1, budget // 3))  # blocks per tile, below b_total only when rows == 1
+    limits = [np.uint64(_lost_limit(k)) for k in (n, n - 1, n - 2)]
+    # replica c of block j sits at stream position 3j + c; stored column-major
+    steps = step_terms_np(3 * np.arange(cols, dtype=np.uint64) + np.arange(3, dtype=np.uint64)[:, None])[:, None]
 
     def counts(start: int, stop: int):
-        # One loop body, no helper: each array stays bound until the next batch
-        # rebinds it, so the heap is reused; freeing a batch's arrays at a
-        # function return tripled the page faults on the compare grid.
+        # Every tile hashes into these two buffers: fresh 512 KB temporaries
+        # per ufunc took about 35,000 more page faults on the compare grid.
+        size = 3 * min(rows, stop - start) * cols
+        raw_buf, scratch_buf = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
         node_hits = cluster_hits = block_hits = lost_total = any_hits = 0
         for lo in range(start, stop, rows):
             states = trial_states_np(master_seed, np.arange(lo, min(stop, lo + rows), dtype=np.int64))
-            # placement: only lost blocks get a sorted triple
-            trial_parts, u_parts = [], []
+            # placement: a block is lost when a raw replica index is 0 (node 0);
+            # only lost blocks get a sorted triple
+            trial_parts, raw_parts = [], []
             for first in range(0, b_total, cols):
-                positions = np.arange(3 * first, 3 * min(b_total, first + cols), dtype=np.uint64)
-                u = uniforms_np(states[:, None], positions).reshape(states.size, -1, 3)
-                lost = _holds_node_zero(u[..., 0], u[..., 1], u[..., 2], n)
+                shape = (3, states.size, min(cols, b_total - first))
+                used = shape[0] * shape[1] * shape[2]
+                raws = raws_into(
+                    raw_buf[:used].reshape(shape),
+                    advance_np(states, 3 * first)[:, None],
+                    steps[..., : shape[2]],
+                    scratch_buf[:used].reshape(shape),
+                )
+                lost = (raws[0] < limits[0]) | (raws[1] < limits[1]) | (raws[2] < limits[2])
                 trial, block = np.nonzero(lost)
                 trial_parts.append(trial)
-                u_parts.append(u[trial, block])
+                raw_parts.append(raws[:, trial, block])
             trial = np.concatenate(trial_parts)  # trial, then block-id order
-            holders = _distinct_triples(np.concatenate(u_parts), n)[:, 1:]  # node 0 sorts first
+            u = to_uniforms(np.concatenate(raw_parts, axis=1)).T
+            holders = _distinct_triples(u, n)[:, 1:]  # node 0 sorts first
             # plan: the k-th lost block of a trial reads 3*b_total + 2k and + 1
             per_trial = np.bincount(trial, minlength=states.size)
             k = np.arange(trial.size) - np.repeat(np.cumsum(per_trial) - per_trial, per_trial)

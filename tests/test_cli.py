@@ -253,6 +253,14 @@ class TestModelCommand:
         code, _, err = _run(capsys, "model", "--protocol", "read", "--nodes", "10,20")
         assert code == 2
 
+    @pytest.mark.parametrize("protocol", ["read", "write"])
+    def test_bad_requests_leave_stdout_empty(self, tmp_path, capsys, protocol):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"requests": [1, 2.5]}))
+        code, out, err = _run(capsys, "model", "--protocol", protocol, "--nodes", "10", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert "requests must be an integer" in err
+
     def test_invalid_cluster_size(self, capsys):
         code, _, err = _run(capsys, "model", "--protocol", "regen-node", "--nodes", "4",
                             "--blocks", "10")

@@ -3,10 +3,14 @@ import pytest
 
 from limpprob.rng import (
     TrialStream,
+    advance_np,
     avalanche,
+    raws_into,
+    step_terms_np,
     stream_raw,
     stream_uniform,
     to_index,
+    to_uniforms,
     trial_state,
     trial_states_np,
     uniforms_np,
@@ -54,6 +58,20 @@ def test_vector_functions_leave_inputs_unchanged():
     trial_states_np(9, indices)
     for before, after in zip(kept, (states, positions, indices)):
         assert np.array_equal(before, after)
+
+
+def test_raws_in_reused_buffers_agree_bitwise():
+    states = trial_states_np(31, np.arange(3))
+    out = np.empty((3, 5), dtype=np.uint64)
+    scratch = np.full_like(out, 12345)  # stale scratch contents must not matter
+    steps = step_terms_np(np.arange(5, dtype=np.uint64))
+    for start in (0, 7, 2**40):
+        raws = raws_into(out, advance_np(states, start)[:, None], steps, scratch)
+        assert raws is out
+        want = [[stream_raw(int(s), start + pos) for pos in range(5)] for s in states]
+        assert out.tolist() == want
+        positions = np.arange(start, start + 5, dtype=np.uint64)
+        assert np.array_equal(to_uniforms(out), uniforms_np(states[:, None], positions))
 
 
 def test_streams_replay():

@@ -31,8 +31,8 @@ from limpprob import (
     run_rw_trials,
     trials,
 )
-from limpprob.rng import TrialStream, stream_uniform, to_index, trial_state, trial_states_np, uniforms_np
-from limpprob.trials import _distinct_triples, _node_target, _partition
+from limpprob.rng import TrialStream, stream_uniform, to_index, to_uniforms, trial_state, trial_states_np, uniforms_np
+from limpprob.trials import _distinct_triples, _lost_limit, _node_target, _partition
 
 NODE_10_90 = 0.36110217217355966568
 CLUSTER_10_500 = 0.95789415572912219584
@@ -142,6 +142,24 @@ class TestDistinctTriples:
         assert abs((rows == 1).any(axis=1).mean() - 0.3) <= 0.005
 
 
+class TestLostLimit:
+    """The kernel's integer lost-block test equals the float rule of _holds_node_zero."""
+
+    @pytest.mark.parametrize("ks", [range(3, 2001), [2**20, 10**6 + 3]])
+    def test_integer_threshold_equals_the_float_rule(self, ks):
+        noise = np.random.default_rng(8).integers(0, 2**64, size=64, dtype=np.uint64)
+        for k in ks:
+            limit = _lost_limit(k)
+            c = limit >> 11
+            assert c == math.ceil(Fraction(2**53, k)) and limit < 2**64
+            edges = [limit - 1, limit, (c - 1) << 11, limit - (1 << 11), limit + (1 << 11), 0, 2**64 - 1]
+            near = (np.arange(-32, 32, dtype=np.int64) * 997 + limit).astype(np.uint64)
+            raws = np.concatenate([np.array(edges, dtype=np.uint64), near, noise, noise >> np.uint64(k % 60)])
+            want = to_uniforms(raws.copy()) * k < 1.0
+            assert np.array_equal(raws < np.uint64(limit), want), k
+            assert want[0] and not want[1] and want[2]
+
+
 class TestNodeTarget:
     def test_integer_load_is_the_closed_form(self):
         for n in (5, 10, 30, 50, 100, 150, 1000):
@@ -167,23 +185,27 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("budget", [trials._CHUNK_ELEMS, 1 << 12])
     def test_no_uniform_array_exceeds_the_budget(self, monkeypatch, budget):
         monkeypatch.setattr(trials, "_CHUNK_ELEMS", budget)
-        largest = 0
-        draw = trials.uniforms_np
+        # uniforms, the protocol kernel's reused hash buffers and its lost-block uniforms
+        largest = dict.fromkeys(("uniforms_np", "raws_into", "to_uniforms"), 0)
+        for name in largest:
+            made = getattr(trials, name)
 
-        def recording(states, positions):
-            nonlocal largest
-            u = draw(states, positions)
-            largest = max(largest, u.size)
-            return u
+            def recording(*args, name=name, made=made):
+                array = owner = made(*args)
+                while owner.base is not None:  # a view into a reused buffer counts as the buffer
+                    owner = owner.base
+                largest[name] = max(largest[name], owner.size)
+                return array
 
-        monkeypatch.setattr(trials, "uniforms_np", recording)
+            monkeypatch.setattr(trials, name, recording)
         run_assumption_trials(RegenParams(10, 36000), 3000, master_seed=1)
         run_assumption_trials(RegenParams(50, 2450), 3000, master_seed=1)
         for protocol in ("read", "write"):
             run_rw_trials(protocol, 1000, 1000, 3000, master_seed=1)
         run_protocol_trials(10, 300, 500, master_seed=1)
         run_protocol_trials(30, budget // 3, 2, master_seed=1)  # one trial at the placement cap
-        assert 0 < largest <= budget
+        assert 0 < min(largest.values()) and max(largest.values()) <= budget
+        assert largest["raws_into"] <= budget >> 4  # one placement tile
 
 
 def _draws_by_slot(monkeypatch, base, slots, run):
