@@ -1,14 +1,18 @@
 """Command-line front end: parameter sweeps, figure datasets, and the
 analytic-vs-simulation comparison gate.
 
-Subcommands:
+Subcommands (``_COMMANDS`` holds each one's handler, help and flags):
 
 * ``model``    - evaluate the closed forms at a single parameter point
 * ``sweep``    - sweep a parameter grid, write one CSV dataset
 * ``compare``  - run analytic and simulated estimators on a grid and gate the
   absolute gap; exit code 1 when any point fails, including a point whose
   estimate rests on no observations (status ``no-observations``)
-* ``figures``  - write the canonical curve datasets, one CSV per panel
+* ``figures``  - write the canonical curve datasets, one CSV per panel; every
+  panel is computed before the first file is written
+
+A subcommand takes only the flags it reads.  Flags are plain strings that go
+through the same conversion and checks as config-file values (``_effective``).
 
 Exit codes: 0 success, 1 comparison failure (beyond tolerance or no
 observations), 2 usage/config error.
@@ -76,11 +80,13 @@ DEFAULTS = {
     "out": None,
 }
 
-_COMMAND_DEFAULTS = {"compare": {"nodes": "10,30,50", "requests": "1,10,100"}}
 _BLOCK_FACTORS = (1, 10, 50)
 _FIGURE_BLOCK_FACTORS = (1, 5, 10, 50)
 _FIGURE_ANCHOR = (100, 3200)  # the 20%-full 1TB node data point
 _WRITE_R_ANCHOR = 40  # with n=50 this is the one-slow-write-per-40-requests point
+_FIGURES = ("read", "write", "node-cluster", "block")
+# regen-block's metrics, in the order `model` prints them
+_BLOCK_METRICS = ("block_degrade_both", "block_degrade_one_slow", BLOCK_DEGRADE)
 
 
 def _fmt(value: float) -> str:
@@ -131,7 +137,7 @@ class _SimCache:
         self._runs: dict = {}
 
     def estimate(self, protocol: str, metric: str, n: int, v: int) -> EstimateSummary:
-        rw = protocol in ("read", "write")
+        rw = PROTOCOLS[protocol][0] == "r"
         key = (protocol if rw else "regen", n, v)
         if key not in self._runs:
             if rw:
@@ -156,13 +162,6 @@ class Row:
     trials: int | None = None
     seed: int | None = None
 
-    @classmethod
-    def simulated(cls, protocol: str, n: int, v: int | None, metric: str, est: EstimateSummary, seed: int) -> "Row":
-        return cls(
-            protocol, n, v, metric, "simulated", est.point_estimate,
-            est.ci_low, est.ci_high, est.trials, seed,
-        )
-
     def render(self) -> str:
         return ",".join(
             [
@@ -180,12 +179,6 @@ class Row:
         )
 
 
-def _sort_rows(rows: list[Row]) -> list[Row]:
-    return sorted(
-        rows, key=lambda r: (r.protocol, r.n, -1 if r.r_or_b is None else r.r_or_b, r.source, r.metric)
-    )
-
-
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".limpprob-", suffix=".tmp")
@@ -200,8 +193,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, rows: list[Row]) -> None:
-    lines = [CSV_COMMENT, CSV_HEADER]
-    lines.extend(row.render() for row in _sort_rows(rows))
+    rows = sorted(rows, key=lambda r: (r.protocol, r.n, -1 if r.r_or_b is None else r.r_or_b, r.source, r.metric))
+    lines = [CSV_COMMENT, CSV_HEADER, *(row.render() for row in rows)]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -257,9 +250,9 @@ def _integer(key: str, value) -> int:
     return number
 
 
-def _effective(args: argparse.Namespace, command_defaults: dict | None = None) -> dict:
-    """Merge CLI > config file > defaults; protocol and figure have no default."""
-    defaults = {**DEFAULTS, **(command_defaults or {})}
+def _effective(args: argparse.Namespace, command_defaults: dict) -> dict:
+    """Merge CLI > config file > defaults, then convert and check every value; protocol and figure have no default."""
+    defaults = {**DEFAULTS, **command_defaults}
     config = _load_config(args.config) if args.config else {}
     merged = {}
     for key in [*defaults, "protocol", "figure"]:
@@ -270,6 +263,9 @@ def _effective(args: argparse.Namespace, command_defaults: dict | None = None) -
             merged[key] = config[key]
         elif key in defaults:
             merged[key] = defaults[key]
+    for key in ("protocol", "figure", "mode", "sim", "out"):
+        if not isinstance(merged.get(key), (str, type(None))):
+            raise InvalidParamsError(f"{key} must be a string, got {merged[key]!r}")
     for key in ("trials", "seed", "workers"):
         merged[key] = _integer(key, merged[key])
     merged["seed"] &= (1 << 64) - 1
@@ -313,7 +309,8 @@ def _point_rows(cfg: dict, cache: _SimCache, protocol: str, metric: str, n: int,
     # only a protocol's headline metric has a sampler
     if cfg["mode"] in ("simulate", "both") and metric == PROTOCOLS[protocol][1]:
         est = cache.estimate(protocol, metric, n, v)
-        rows.append(Row.simulated(protocol, n, v, metric, est, cfg["seed"]))
+        rows.append(Row(protocol, n, v, metric, "simulated", est.point_estimate, est.ci_low, est.ci_high,
+                        est.trials, cfg["seed"]))
     return rows
 
 
@@ -323,7 +320,7 @@ def cmd_model(cfg: dict) -> int:
     if len(nodes) != 1:
         raise InvalidParamsError("model needs exactly one --nodes value")
     n = nodes[0]
-    if protocol in ("read", "write"):
+    if PROTOCOLS[protocol][0] == "r":
         # every line is computed before any is printed, so an error leaves stdout empty
         lines = [f"{protocol}_degrade = {_fmt(analytic_value(f'{protocol}_degrade', n, None))}"]
         for r in _parse_int_list(cfg["requests"], "requests"):
@@ -331,10 +328,7 @@ def cmd_model(cfg: dict) -> int:
             lines.append(f"{protocol}_user_degrade[r={r}] = {_fmt(value)}")
         print("\n".join(lines))
         return 0
-    if protocol == "regen-block":
-        metrics = ["block_degrade_both", "block_degrade_one_slow", BLOCK_DEGRADE]
-    else:
-        metrics = [PROTOCOLS[protocol][1]]
+    metrics = _BLOCK_METRICS if protocol == "regen-block" else [PROTOCOLS[protocol][1]]
     for b in _blocks_for(n, cfg["blocks"]):
         regen = RegenParams(n, b)
         print(f"regen_load[b={b}] = {_fmt(model.regen_load(regen))}")
@@ -358,8 +352,11 @@ def cmd_sweep(cfg: dict) -> int:
 
 def _compare_protocols(cfg: dict) -> list[str]:
     raw = cfg.get("protocol")
-    if raw:
-        return list(dict.fromkeys(_check_protocol(p.strip()) for p in str(raw).split(",") if p.strip()))
+    if raw is not None:
+        protocols = list(dict.fromkeys(_check_protocol(p.strip()) for p in raw.split(",") if p.strip()))
+        if not protocols:
+            raise InvalidParamsError(f"empty protocol list {raw!r}")
+        return protocols
     if cfg["sim"] == "protocol":
         # the closed form for "at least one degraded block" assumes blocks
         # degrade independently; full protocol replays expose that assumption,
@@ -371,45 +368,42 @@ def _compare_protocols(cfg: dict) -> list[str]:
 def cmd_compare(cfg: dict) -> int:
     protocols = _compare_protocols(cfg)
     cache = _SimCache(cfg)
+    both = {**cfg, "mode": "both"}
     tolerance = cfg["tolerance"]
     rows: list[Row] = []
-    table: list[tuple] = []
-    failures = 0
+    lines: list[str] = []
+    failures = beyond = 0
     for protocol in protocols:
         metric = PROTOCOLS[protocol][1]
         for n, v in _grid(cfg, protocol):
-            analytic = analytic_value(metric, n, v)
-            est = cache.estimate(protocol, metric, n, v)
-            gap = abs(analytic - est.point_estimate)
-            if est.trials == 0:
+            analytic, simulated = _point_rows(both, cache, protocol, metric, n, v)
+            gap = abs(analytic.value - simulated.value)
+            if simulated.trials == 0:
                 # nothing was observed (e.g. no block was lost), so the [0, 1] CI proves nothing
                 status = "no-observations"
             else:
-                status = "ok" if gap <= tolerance or est.ci_low <= analytic <= est.ci_high else "FAIL"
+                status = "ok" if gap <= tolerance or simulated.ci_low <= analytic.value <= simulated.ci_high else "FAIL"
             failures += status != "ok"
-            table.append((protocol, n, v, metric, analytic, est, gap, status))
-            rows.append(Row(protocol, n, v, metric, "analytic", analytic))
-            rows.append(Row.simulated(protocol, n, v, metric, est, cfg["seed"]))
+            beyond += status == "FAIL"
+            lines.append(
+                f"{protocol:<16}{n:>5}{v:>8}  {metric:<20}{analytic.value:>12.6g}{simulated.value:>12.6g}"
+                f"{gap:>10.2g}  {status}"
+            )
+            rows += (analytic, simulated)
     header = f"{'protocol':<16}{'n':>5}{'r_or_b':>8}  {'metric':<20}{'analytic':>12}{'estimate':>12}{'gap':>10}  status"
-    print(header)
-    print("-" * len(header))
-    for protocol, n, v, metric, analytic, est, gap, status in table:
-        print(
-            f"{protocol:<16}{n:>5}{v:>8}  {metric:<20}{analytic:>12.6g}{est.point_estimate:>12.6g}"
-            f"{gap:>10.2g}  {status}"
-        )
-    beyond = sum(row[-1] == "FAIL" for row in table)
+    print("\n".join([header, "-" * len(header), *lines]))
     verdict = "all within tolerance" if beyond == 0 else f"{beyond} point(s) beyond tolerance"
     if failures > beyond:
         verdict = f"{failures - beyond} point(s) without observations, {verdict}"
-    print(f"compare: {len(table) - failures}/{len(table)} ok ({verdict} {tolerance:g}, sim={cfg['sim']}, trials={cfg['trials']})")
+    print(f"compare: {len(lines) - failures}/{len(lines)} ok ({verdict} {tolerance:g}, sim={cfg['sim']}, trials={cfg['trials']})")
     if cfg["out"]:
         _write_csv(cfg["out"], rows)
         print(f"wrote {len(rows)} rows to {cfg['out']}")
     return 1 if failures else 0
 
 
-def _figure_panels(cfg: dict, figure: str) -> dict[str, list[Row]]:
+def _figure_panels(cfg: dict, figures: list[str]) -> dict[str, list[Row]]:
+    """Every panel's rows for the given figures, with one sampler cache for all of them."""
     nodes = _parse_nodes(cfg["nodes"])
     requests = _parse_int_list(cfg["requests"], "requests")
     cache = _SimCache(cfg)
@@ -418,30 +412,27 @@ def _figure_panels(cfg: dict, figure: str) -> dict[str, list[Row]]:
     def add(panel: str, protocol: str, metric: str, n: int, v: int | None):
         panels.setdefault(panel, []).extend(_point_rows(cfg, cache, protocol, metric, n, v))
 
-    if figure in ("read", "write"):
-        protocol = figure
-        user_requests = list(requests)
-        if figure == "write" and _WRITE_R_ANCHOR not in user_requests:
-            user_requests.append(_WRITE_R_ANCHOR)
-        for n in nodes:
-            add(f"{protocol}_request_prob", protocol, f"{protocol}_degrade", n, None)
-            for r in sorted(user_requests):
-                add(f"{protocol}_user_prob", protocol, f"{protocol}_user_degrade", n, r)
-        return panels
-    if figure not in ("node-cluster", "block"):
-        raise InvalidParamsError(f"unknown figure {figure!r}")
-    points = [(n, b) for n in nodes for b in _blocks_for(n, cfg["blocks"], _FIGURE_BLOCK_FACTORS)]
-    if _FIGURE_ANCHOR not in points:
-        points.append(_FIGURE_ANCHOR)
-    for n, b in points:
-        if figure == "node-cluster":
-            add("node_degrade_prob", "regen-node", NODE_DEGRADE, n, b)
-            add("cluster_degrade_prob", "regen-cluster", CLUSTER_DEGRADE, n, b)
-        else:
-            add("block_degrade_prob", "regen-block", BLOCK_DEGRADE, n, b)
-            add("block_degrade_prob", "regen-block", "block_degrade_both", n, b)
-            add("block_degrade_prob", "regen-block", "block_degrade_one_slow", n, b)
-            add("any_block_degrade_prob", "regen-any-block", ANY_BLOCK_DEGRADE, n, b)
+    for figure in figures:
+        if figure in ("read", "write"):
+            user_requests = sorted({*requests, _WRITE_R_ANCHOR} if figure == "write" else requests)
+            for n in nodes:
+                add(f"{figure}_request_prob", figure, f"{figure}_degrade", n, None)
+                for r in user_requests:
+                    add(f"{figure}_user_prob", figure, f"{figure}_user_degrade", n, r)
+            continue
+        if figure not in _FIGURES:
+            raise InvalidParamsError(f"unknown figure {figure!r}")
+        points = [(n, b) for n in nodes for b in _blocks_for(n, cfg["blocks"], _FIGURE_BLOCK_FACTORS)]
+        if _FIGURE_ANCHOR not in points:
+            points.append(_FIGURE_ANCHOR)
+        for n, b in points:
+            if figure == "node-cluster":
+                add("node_degrade_prob", "regen-node", NODE_DEGRADE, n, b)
+                add("cluster_degrade_prob", "regen-cluster", CLUSTER_DEGRADE, n, b)
+            else:
+                for metric in _BLOCK_METRICS:
+                    add("block_degrade_prob", "regen-block", metric, n, b)
+                add("any_block_degrade_prob", "regen-any-block", ANY_BLOCK_DEGRADE, n, b)
     return panels
 
 
@@ -450,17 +441,42 @@ def cmd_figures(cfg: dict) -> int:
     if not out_dir:
         raise InvalidParamsError("figures needs --out DIR")
     figure = cfg.get("figure") or "all"
-    names = ["read", "write", "node-cluster", "block"] if figure == "all" else [figure]
+    panels = _figure_panels(cfg, list(_FIGURES) if figure == "all" else [figure])
+    # a failing panel has raised by now, so an error writes no file
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for name in names:
-        for panel, rows in _figure_panels(cfg, name).items():
-            path = os.path.join(out_dir, f"{panel}.csv")
-            _write_csv(path, rows)
-            written.append(path)
-    for path in written:
-        print(f"wrote {path}")
+    paths = {panel: os.path.join(out_dir, f"{panel}.csv") for panel in panels}
+    for panel, rows in panels.items():
+        _write_csv(paths[panel], rows)
+    print("\n".join(f"wrote {path}" for path in paths.values()))
     return 0
+
+
+_FLAG_HELP = {
+    "protocol": f"one of {', '.join(PROTOCOLS)} (compare: comma list)",
+    "figure": f"one of {', '.join(_FIGURES)}, all (default all)",
+    "nodes": "cluster sizes, e.g. 30 or 10..100:10 or 10,30,50",
+    "requests": "comma list of request counts r",
+    "blocks": "comma list of lost-block counts b (default: (n-1)*{1,10,50})",
+    "trials": "Monte Carlo trials per point",
+    "seed": "64-bit master seed",
+    "mode": "analytic, simulate or both",
+    "tolerance": "absolute gap gate",
+    "workers": "parallel trial workers, at most the CPU count (results identical)",
+    "sim": "regen simulator flavor: assumption or protocol",
+    "out": "output CSV path (sweep/compare) or directory (figures)",
+}
+
+_RUN_FLAGS = "nodes requests blocks trials seed workers sim"
+# subcommand -> (handler, help, the flags it reads besides --config and --show-config, its own defaults)
+_COMMANDS = {
+    "model": (cmd_model, "evaluate the closed forms at one point", "protocol nodes requests blocks", {}),
+    "sweep": (cmd_sweep, "sweep a grid and write a CSV dataset", f"protocol {_RUN_FLAGS} mode out", {}),
+    "compare": (
+        cmd_compare, "gate simulated estimates against the closed forms", f"protocol {_RUN_FLAGS} tolerance out",
+        {"nodes": "10,30,50", "requests": "1,10,100"},
+    ),
+    "figures": (cmd_figures, "write the canonical curve datasets", f"figure {_RUN_FLAGS} mode out", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,53 +486,31 @@ def build_parser() -> argparse.ArgumentParser:
         "storage cluster with one slow node.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_protocol=True):
-        if with_protocol:
-            p.add_argument("--protocol", help=f"one of {', '.join(PROTOCOLS)} (compare: comma list)")
-        p.add_argument("--nodes", help="cluster sizes, e.g. 30 or 10..100:10 or 10,30,50")
-        p.add_argument("--requests", help="comma list of request counts r")
-        p.add_argument("--blocks", help="comma list of lost-block counts b (default: (n-1)*{1,10,50})")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-        p.add_argument("--seed", type=int, help="64-bit master seed")
-        p.add_argument("--mode", choices=["analytic", "simulate", "both"])
-        p.add_argument("--tolerance", type=float, help="absolute gap gate for compare")
-        p.add_argument("--workers", type=int, help="parallel trial workers, at most the CPU count (results identical)")
-        p.add_argument("--sim", choices=["assumption", "protocol"], help="regen simulator flavor")
-        p.add_argument("--out", help="output CSV path (sweep/compare) or directory (figures)")
-        p.add_argument("--config", help="JSON config file; command-line flags win")
-        p.add_argument("--show-config", action="store_true", help="print effective config and exit")
-
-    common(sub.add_parser("model", help="evaluate the closed forms at one point"))
-    common(sub.add_parser("sweep", help="sweep a grid and write a CSV dataset"))
-    common(sub.add_parser("compare", help="gate simulated estimates against the closed forms"))
-    figures = sub.add_parser("figures", help="write the canonical curve datasets")
-    figures.add_argument("--figure", choices=["read", "write", "node-cluster", "block", "all"])
-    common(figures, with_protocol=False)
+    for name, (_, help_text, flags, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            command.add_argument(f"--{flag}", help=_FLAG_HELP[flag])
+        command.add_argument("--config", help="JSON config file; command-line flags win")
+        command.add_argument("--show-config", action="store_true", help="print effective config and exit")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "model": cmd_model,
-        "sweep": cmd_sweep,
-        "compare": cmd_compare,
-        "figures": cmd_figures,
-    }
+    handler, _, _, command_defaults = _COMMANDS[args.command]
     try:
-        cfg = _effective(args, _COMMAND_DEFAULTS.get(args.command))
+        cfg = _effective(args, command_defaults)
         if args.show_config:
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return 0
-        return handlers[args.command](cfg)
+        return handler(cfg)
     except InvalidParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from limpprob import InvalidParamsError
+from limpprob import InvalidParamsError, cli
 from limpprob.cli import CSV_HEADER, analytic_value, main
 
 
@@ -148,6 +148,15 @@ class TestCompare:
         assert "1/1 ok" in text
         assert len(_read_rows(out)) == 2
 
+    @pytest.mark.parametrize("protocols", [",", " , ,", ""])
+    def test_empty_protocol_list_is_usage_error(self, tmp_path, capsys, protocols):
+        out = tmp_path / "cmp.csv"
+        code, text, err = _run(
+            capsys, "compare", "--protocol", protocols, "--nodes", "10", "--trials", "10", "--out", str(out),
+        )
+        assert (code, text) == (2, "")
+        assert "empty protocol list" in err and not out.exists()
+
     def test_unknown_protocol_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "compare", "--protocol", "regen-everything")
         assert code == 2
@@ -229,6 +238,28 @@ class TestFigures:
         ]
 
 
+    def test_one_sampler_run_per_regen_point(self, tmp_path, capsys, monkeypatch):
+        # node-cluster and block share their points: (10, 9k) for k in 1, 5, 10, 50, and the (100, 3200) anchor
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return run_assumption_trials(*args, **kwargs)
+
+        run_assumption_trials = cli.run_assumption_trials
+        monkeypatch.setattr(cli, "run_assumption_trials", counting)
+        code, _, _ = _run(capsys, "figures", "--mode", "both", "--nodes", "10", "--trials", "20", "--out", str(tmp_path))
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 5
+
+    def test_failing_panel_writes_no_file(self, tmp_path, capsys):
+        # the read and write panels accept n = 4; the regeneration panels do not
+        out = tmp_path / "figs"
+        code, text, err = _run(capsys, "figures", "--nodes", "4", "--mode", "analytic", "--out", str(out))
+        assert (code, text) == (2, "")
+        assert "error" in err and not out.exists()
+
+
 class TestAnalyticValue:
     def test_unknown_metric_is_invalid(self):
         with pytest.raises(InvalidParamsError, match="nope"):
@@ -266,6 +297,33 @@ class TestModelCommand:
                             "--blocks", "10")
         assert code == 2
         assert "error" in err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["model", "--protocol", "read", "--nodes", "10", "--trials", "5"],
+        ["compare", "--protocol", "read", "--nodes", "10", "--trials", "10", "--mode", "both"],
+        ["sweep", "--protocol", "read", "--nodes", "10", "--tolerance", "0.1", "--out", "{tmp}/x.csv"],
+        ["figures", "--nodes", "10", "--tolerance", "0.1", "--out", "{tmp}"],
+    ])
+    def test_flag_the_command_never_reads_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "1.5", "trials must be an integer, got '1.5'"),
+        ("--seed", "abc", "seed must be an integer, got 'abc'"),
+        ("--mode", "fast", "bad mode 'fast'"),
+        ("--sim", "exact", "bad sim flavor 'exact'"),
+    ], ids=["trials", "seed", "mode", "sim"])
+    def test_bad_flag_value_gets_the_config_check(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x.csv"
+        code, text, err = _run(capsys, "sweep", "--protocol", "read", "--nodes", "10", flag, value, "--out", str(out))
+        assert (code, text) == (2, "")
+        assert err == f"error: {message}\n" and not out.exists()
 
 
 class TestConfig:
@@ -314,6 +372,25 @@ class TestConfig:
         code, _, err = _run(capsys, "sweep", "--config", str(config), "--protocol", "read", "--show-config")
         assert code == 2
         assert key in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("sweep", "protocol", ["read"]), ("model", "protocol", ["read"]), ("sweep", "out", 5), ("sweep", "out", True),
+        ("figures", "out", 5), ("figures", "figure", 3), ("sweep", "mode", ["both"]), ("compare", "sim", {}),
+    ])
+    def test_non_string_value_in_config_exits_2(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        config.write_text(json.dumps({"protocol": "read", "nodes": "10", "out": str(out), key: value}))
+        code, text, err = _run(capsys, command, "--config", str(config))
+        assert (code, text) == (2, "")
+        assert f"{key} must be a string, got {value!r}" in err and not out.exists()
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b"\xff\xfe{")
+        code, _, err = _run(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert err.startswith("config error: ")
 
     def test_integral_numbers_in_config_accepted(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
