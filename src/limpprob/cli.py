@@ -11,8 +11,11 @@ Subcommands (``_COMMANDS`` holds each one's handler, help and flags):
 * ``figures``  - write the canonical curve datasets, one CSV per panel; every
   panel is computed before the first file is written
 
-A subcommand takes only the flags it reads.  Flags are plain strings that go
-through the same conversion and checks as config-file values (``_effective``).
+A subcommand takes only the flags it reads; each flag is a config key with one
+``_FLAGS`` row.  ``_effective`` converts and checks every key, whichever command
+reads it (a bad ``--blocks`` fails ``sweep --protocol read``), and expands the
+grid keys into int lists, as ``--show-config`` prints them: a node range holds
+at most 1,000,000 values and a grid value is at most 2**53.
 
 Exit codes: 0 success, 1 comparison failure (beyond tolerance or no
 observations), 2 usage/config error.
@@ -46,6 +49,8 @@ from .trials import (
     BLOCK_DEGRADE,
     CLUSTER_DEGRADE,
     NODE_DEGRADE,
+    READ_USER_DEGRADE,
+    WRITE_USER_DEGRADE,
     run_assumption_trials,
     run_protocol_trials,
     run_rw_trials,
@@ -59,25 +64,12 @@ CSV_COMMENT = (
 
 # protocol -> (parameter kind, headline metric)
 PROTOCOLS = {
-    "read": ("r", "read_user_degrade"),
-    "write": ("r", "write_user_degrade"),
+    "read": ("r", READ_USER_DEGRADE),
+    "write": ("r", WRITE_USER_DEGRADE),
     "regen-node": ("b", NODE_DEGRADE),
     "regen-cluster": ("b", CLUSTER_DEGRADE),
     "regen-block": ("b", BLOCK_DEGRADE),
     "regen-any-block": ("b", ANY_BLOCK_DEGRADE),
-}
-
-DEFAULTS = {
-    "nodes": "10..100:10",
-    "requests": "1,10,100,1000",
-    "blocks": None,  # derived per n: (n-1) * {1, 10, 50}
-    "mode": "analytic",
-    "trials": 100_000,
-    "seed": 42,
-    "tolerance": 0.02,
-    "workers": 1,
-    "sim": "assumption",
-    "out": None,
 }
 
 _BLOCK_FACTORS = (1, 10, 50)
@@ -85,6 +77,22 @@ _FIGURE_BLOCK_FACTORS = (1, 5, 10, 50)
 _FIGURE_ANCHOR = (100, 3200)  # the 20%-full 1TB node data point
 _WRITE_R_ANCHOR = 40  # with n=50 this is the one-slow-write-per-40-requests point
 _FIGURES = ("read", "write", "node-cluster", "block")
+
+# flag (and config key) -> (default, help)
+_FLAGS = {
+    "protocol": (None, f"one of {', '.join(PROTOCOLS)} (compare: comma list)"),
+    "figure": (None, f"one of {', '.join(_FIGURES)}, all (default all)"),
+    "nodes": ("10..100:10", "cluster sizes, e.g. 30 or 10..100:10 or 10,30,50"),
+    "requests": ("1,10,100,1000", "comma list of request counts r"),
+    "blocks": (None, "comma list of lost-block counts b (default: (n-1)*{1,10,50})"),
+    "trials": (100_000, "Monte Carlo trials per point"),
+    "seed": (42, "64-bit master seed"),
+    "mode": ("analytic", "analytic, simulate or both"),
+    "tolerance": (0.02, "absolute gap gate"),
+    "workers": (1, "parallel trial workers, at most the CPU count (results identical)"),
+    "sim": ("assumption", "regen simulator flavor: assumption or protocol"),
+    "out": (None, "output CSV path (sweep/compare) or directory (figures)"),
+}
 # regen-block's metrics, in the order `model` prints them
 _BLOCK_METRICS = ("block_degrade_both", "block_degrade_one_slow", BLOCK_DEGRADE)
 
@@ -198,34 +206,25 @@ def _write_csv(path: str, rows: list[Row]) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _parse_nodes(text) -> list[int]:
-    """Accepts a range 'A..B:S' or 'A..B', or anything :func:`_parse_int_list` takes."""
-    if isinstance(text, str) and ".." in text:
+def _parse_grid(key: str, text) -> list[int]:
+    """A grid value as ints: an int, a comma list 'A,B,C' or a JSON list (a repeated value is kept once);
+    nodes also take a range 'A..B:S' or 'A..B'."""
+    if key == "nodes" and isinstance(text, str) and ".." in text:
         span, _, stride_s = text.strip().partition(":")
         lo_s, _, hi_s = span.partition("..")
-        lo, hi = _integer("nodes", lo_s), _integer("nodes", hi_s)
+        lo, hi = _grid_value("nodes", lo_s), _grid_value("nodes", hi_s)
         stride = _integer("nodes", stride_s) if stride_s else 1
         if stride < 1 or hi < lo:
             raise InvalidParamsError(f"bad node range {text!r}")
-        return list(range(lo, hi + 1, stride))
-    return _parse_int_list(text, "nodes")
-
-
-def _parse_int_list(text, what: str) -> list[int]:
-    """Accepts an int, a comma list 'A,B,C' or a JSON list; a repeated value is kept once."""
+        nodes = range(lo, hi + 1, stride)
+        if len(nodes) > 1_000_000:
+            raise InvalidParamsError(f"node range {text!r} holds {len(nodes)} values, more than 1000000")
+        return list(nodes)
     parts = text if isinstance(text, (list, tuple)) else [p for p in str(text).split(",") if p.strip()]
-    values = list(dict.fromkeys(_integer(what, v) for v in parts))
+    values = list(dict.fromkeys(_grid_value(key, v) for v in parts))
     if not values:
-        raise InvalidParamsError(f"empty {what} list {text!r}")
-    if any(v < 0 for v in values):
-        raise InvalidParamsError(f"{what} values must be >= 0, got {values}")
+        raise InvalidParamsError(f"empty {key} list {text!r}")
     return values
-
-
-def _blocks_for(n: int, blocks: str | None, factors=_BLOCK_FACTORS) -> list[int]:
-    if blocks is not None:
-        return _parse_int_list(blocks, "blocks")
-    return [(n - 1) * k for k in factors]
 
 
 def _load_config(path: str) -> dict:
@@ -233,7 +232,7 @@ def _load_config(path: str) -> dict:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise InvalidParamsError(f"config {path!r} must hold a JSON object")
-    unknown = set(config) - set(DEFAULTS) - {"protocol", "figure"}
+    unknown = set(config) - set(_FLAGS)
     if unknown:
         raise InvalidParamsError(f"unknown config keys: {sorted(unknown)}")
     return config
@@ -250,21 +249,21 @@ def _integer(key: str, value) -> int:
     return number
 
 
+def _grid_value(key: str, value) -> int:
+    """One grid value: an integer in 0..2**53, which the closed forms' float64 arithmetic holds exactly."""
+    number = _integer(key, value)
+    if not 0 <= number <= 2**53:
+        raise InvalidParamsError(f"{key} values must lie in 0..2**53, got {number}")
+    return number
+
+
 def _effective(args: argparse.Namespace, command_defaults: dict) -> dict:
-    """Merge CLI > config file > defaults, then convert and check every value; protocol and figure have no default."""
-    defaults = {**DEFAULTS, **command_defaults}
+    """Merge CLI > config file > defaults, then convert and check every value, whichever command reads it."""
     config = _load_config(args.config) if args.config else {}
-    merged = {}
-    for key in [*defaults, "protocol", "figure"]:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in config:
-            merged[key] = config[key]
-        elif key in defaults:
-            merged[key] = defaults[key]
+    merged = {key: config.get(key, command_defaults.get(key, default)) for key, (default, _) in _FLAGS.items()}
+    merged.update((key, value) for key, value in vars(args).items() if key in _FLAGS and value is not None)
     for key in ("protocol", "figure", "mode", "sim", "out"):
-        if not isinstance(merged.get(key), (str, type(None))):
+        if not isinstance(merged[key], (str, type(None))):
             raise InvalidParamsError(f"{key} must be a string, got {merged[key]!r}")
     for key in ("trials", "seed", "workers"):
         merged[key] = _integer(key, merged[key])
@@ -273,10 +272,16 @@ def _effective(args: argparse.Namespace, command_defaults: dict) -> dict:
         merged["tolerance"] = float(merged["tolerance"])
     except (TypeError, ValueError) as exc:
         raise InvalidParamsError(f"tolerance must be a number, got {merged['tolerance']!r}") from exc
+    for key in ("nodes", "requests"):
+        merged[key] = _parse_grid(key, merged[key])
+    if merged["blocks"] is not None:  # None: (n-1) * factors at each n, see _grid
+        merged["blocks"] = _parse_grid("blocks", merged["blocks"])
     if merged["mode"] not in ("analytic", "simulate", "both"):
         raise InvalidParamsError(f"bad mode {merged['mode']!r}")
     if merged["sim"] not in ("assumption", "protocol"):
         raise InvalidParamsError(f"bad sim flavor {merged['sim']!r}")
+    if merged["figure"] not in (None, "all", *_FIGURES):
+        raise InvalidParamsError(f"unknown figure {merged['figure']!r}")
     if merged["trials"] < 1 or merged["workers"] < 1:
         raise InvalidParamsError("trials and workers must be >= 1")
     if not 0.0 < merged["tolerance"] < 1.0:
@@ -290,13 +295,13 @@ def _check_protocol(name) -> str:
     return name
 
 
-def _grid(cfg: dict, protocol: str):
-    """Yield the (n, r_or_b) points of the configured grid for one protocol."""
-    for n in _parse_nodes(cfg["nodes"]):
+def _grid(cfg: dict, protocol: str, factors=_BLOCK_FACTORS):
+    """Yield the (n, r_or_b) points of the configured grid for one protocol; b defaults to (n-1) * factors."""
+    for n in cfg["nodes"]:
         if PROTOCOLS[protocol][0] == "r":
-            values = _parse_int_list(cfg["requests"], "requests")
+            values = cfg["requests"]
         else:
-            values = _blocks_for(n, cfg["blocks"])
+            values = cfg["blocks"] or [(n - 1) * k for k in factors]
         for v in values:
             yield n, v
 
@@ -315,31 +320,26 @@ def _point_rows(cfg: dict, cache: _SimCache, protocol: str, metric: str, n: int,
 
 
 def cmd_model(cfg: dict) -> int:
-    protocol = _check_protocol(cfg.get("protocol"))
-    nodes = _parse_nodes(cfg["nodes"])
-    if len(nodes) != 1:
+    protocol = _check_protocol(cfg["protocol"])
+    if len(cfg["nodes"]) != 1:
         raise InvalidParamsError("model needs exactly one --nodes value")
-    n = nodes[0]
-    if PROTOCOLS[protocol][0] == "r":
-        # every line is computed before any is printed, so an error leaves stdout empty
-        lines = [f"{protocol}_degrade = {_fmt(analytic_value(f'{protocol}_degrade', n, None))}"]
-        for r in _parse_int_list(cfg["requests"], "requests"):
-            value = analytic_value(f"{protocol}_user_degrade", n, r)
-            lines.append(f"{protocol}_user_degrade[r={r}] = {_fmt(value)}")
-        print("\n".join(lines))
-        return 0
+    n = cfg["nodes"][0]
+    kind = PROTOCOLS[protocol][0]
     metrics = _BLOCK_METRICS if protocol == "regen-block" else [PROTOCOLS[protocol][1]]
-    for b in _blocks_for(n, cfg["blocks"]):
-        regen = RegenParams(n, b)
-        print(f"regen_load[b={b}] = {_fmt(model.regen_load(regen))}")
-        print(f"slow_dest_prob[b={b}] = {_fmt(model.slow_dest_prob(regen))}")
-        for metric in metrics:
-            print(f"{metric}[b={b}] = {_fmt(analytic_value(metric, n, b))}")
+    # every line is computed before any is printed, so an error leaves stdout empty
+    lines = [f"{protocol}_degrade = {_fmt(analytic_value(f'{protocol}_degrade', n, None))}"] if kind == "r" else []
+    for _, v in _grid(cfg, protocol):
+        if kind == "b":
+            regen = RegenParams(n, v)
+            lines += [f"regen_load[b={v}] = {_fmt(model.regen_load(regen))}",
+                      f"slow_dest_prob[b={v}] = {_fmt(model.slow_dest_prob(regen))}"]
+        lines += [f"{metric}[{kind}={v}] = {_fmt(analytic_value(metric, n, v))}" for metric in metrics]
+    print("\n".join(lines))
     return 0
 
 
 def cmd_sweep(cfg: dict) -> int:
-    protocol = _check_protocol(cfg.get("protocol"))
+    protocol = _check_protocol(cfg["protocol"])
     if not cfg["out"]:
         raise InvalidParamsError("sweep needs --out PATH")
     metric = PROTOCOLS[protocol][1]
@@ -351,7 +351,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def _compare_protocols(cfg: dict) -> list[str]:
-    raw = cfg.get("protocol")
+    raw = cfg["protocol"]
     if raw is not None:
         protocols = list(dict.fromkeys(_check_protocol(p.strip()) for p in raw.split(",") if p.strip()))
         if not protocols:
@@ -402,27 +402,23 @@ def cmd_compare(cfg: dict) -> int:
     return 1 if failures else 0
 
 
-def _figure_panels(cfg: dict, figures: list[str]) -> dict[str, list[Row]]:
-    """Every panel's rows for the given figures, with one sampler cache for all of them."""
-    nodes = _parse_nodes(cfg["nodes"])
-    requests = _parse_int_list(cfg["requests"], "requests")
+def _figure_panels(cfg: dict) -> dict[str, list[Row]]:
+    """Every panel's rows for cfg's figures, with one sampler cache for all of them."""
     cache = _SimCache(cfg)
     panels: dict[str, list[Row]] = {}
 
     def add(panel: str, protocol: str, metric: str, n: int, v: int | None):
         panels.setdefault(panel, []).extend(_point_rows(cfg, cache, protocol, metric, n, v))
 
-    for figure in figures:
+    for figure in _FIGURES if cfg["figure"] in (None, "all") else [cfg["figure"]]:
         if figure in ("read", "write"):
-            user_requests = sorted({*requests, _WRITE_R_ANCHOR} if figure == "write" else requests)
-            for n in nodes:
+            user_requests = sorted({*cfg["requests"], _WRITE_R_ANCHOR} if figure == "write" else cfg["requests"])
+            for n in cfg["nodes"]:
                 add(f"{figure}_request_prob", figure, f"{figure}_degrade", n, None)
                 for r in user_requests:
                     add(f"{figure}_user_prob", figure, f"{figure}_user_degrade", n, r)
             continue
-        if figure not in _FIGURES:
-            raise InvalidParamsError(f"unknown figure {figure!r}")
-        points = [(n, b) for n in nodes for b in _blocks_for(n, cfg["blocks"], _FIGURE_BLOCK_FACTORS)]
+        points = list(_grid(cfg, "regen-block", _FIGURE_BLOCK_FACTORS))
         if _FIGURE_ANCHOR not in points:
             points.append(_FIGURE_ANCHOR)
         for n, b in points:
@@ -440,8 +436,7 @@ def cmd_figures(cfg: dict) -> int:
     out_dir = cfg["out"]
     if not out_dir:
         raise InvalidParamsError("figures needs --out DIR")
-    figure = cfg.get("figure") or "all"
-    panels = _figure_panels(cfg, list(_FIGURES) if figure == "all" else [figure])
+    panels = _figure_panels(cfg)
     # a failing panel has raised by now, so an error writes no file
     os.makedirs(out_dir, exist_ok=True)
     paths = {panel: os.path.join(out_dir, f"{panel}.csv") for panel in panels}
@@ -450,21 +445,6 @@ def cmd_figures(cfg: dict) -> int:
     print("\n".join(f"wrote {path}" for path in paths.values()))
     return 0
 
-
-_FLAG_HELP = {
-    "protocol": f"one of {', '.join(PROTOCOLS)} (compare: comma list)",
-    "figure": f"one of {', '.join(_FIGURES)}, all (default all)",
-    "nodes": "cluster sizes, e.g. 30 or 10..100:10 or 10,30,50",
-    "requests": "comma list of request counts r",
-    "blocks": "comma list of lost-block counts b (default: (n-1)*{1,10,50})",
-    "trials": "Monte Carlo trials per point",
-    "seed": "64-bit master seed",
-    "mode": "analytic, simulate or both",
-    "tolerance": "absolute gap gate",
-    "workers": "parallel trial workers, at most the CPU count (results identical)",
-    "sim": "regen simulator flavor: assumption or protocol",
-    "out": "output CSV path (sweep/compare) or directory (figures)",
-}
 
 _RUN_FLAGS = "nodes requests blocks trials seed workers sim"
 # subcommand -> (handler, help, the flags it reads besides --config and --show-config, its own defaults)
@@ -489,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, flags, _) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for flag in flags.split():
-            command.add_argument(f"--{flag}", help=_FLAG_HELP[flag])
+            command.add_argument(f"--{flag}", help=_FLAGS[flag][1])
         command.add_argument("--config", help="JSON config file; command-line flags win")
         command.add_argument("--show-config", action="store_true", help="print effective config and exit")
     return parser

@@ -40,27 +40,22 @@ class EstimateSummary:
     """Monte Carlo point estimate for one metric.
 
     trials counts the Bernoulli observations behind the estimate (for
-    per-node metrics that is trials x good nodes, not the trial count), and
-    master_seed is the seed the whole run derived its streams from.
+    per-node metrics that is trials x good nodes, not the trial count).
     """
 
-    metric: str
     trials: int
     successes: int
     point_estimate: Probability
     ci_low: float
     ci_high: float
-    master_seed: int
 
     @classmethod
-    def from_counts(cls, metric: str, successes: int, trials: int, master_seed: int) -> "EstimateSummary":
+    def from_counts(cls, successes: int, trials: int) -> "EstimateSummary":
         low, high = wilson_interval(successes, trials)
         return cls(
-            metric=metric,
             trials=trials,
             successes=successes,
             point_estimate=Probability(successes / trials),
             ci_low=low,
             ci_high=high,
-            master_seed=master_seed,
         )

@@ -71,12 +71,12 @@ def _run_partitioned(counts_fn, trials: int, workers: int):
     return [sum(col) for col in zip(*results)]
 
 
-def _summary(metric: str, successes: int, observations: int, master_seed: int) -> EstimateSummary:
+def _summary(successes: int, observations: int) -> EstimateSummary:
     if observations == 0:
         # No observations at all (e.g. no block was ever lost): report an
         # uninformative estimate rather than dividing by zero.
-        return EstimateSummary(metric, 0, 0, Probability(0.0), 0.0, 1.0, master_seed)
-    return EstimateSummary.from_counts(metric, successes, observations, master_seed)
+        return EstimateSummary(0, 0, Probability(0.0), 0.0, 1.0)
+    return EstimateSummary.from_counts(successes, observations)
 
 
 def _distinct_triples(u: np.ndarray, n: int) -> np.ndarray:
@@ -205,10 +205,10 @@ def run_protocol_trials(
         counts, trials, workers
     )
     return {
-        NODE_DEGRADE: _summary(NODE_DEGRADE, node_hits, trials * (n - 2), master_seed),
-        CLUSTER_DEGRADE: _summary(CLUSTER_DEGRADE, cluster_hits, trials, master_seed),
-        BLOCK_DEGRADE: _summary(BLOCK_DEGRADE, block_hits, lost_total, master_seed),
-        ANY_BLOCK_DEGRADE: _summary(ANY_BLOCK_DEGRADE, any_hits, trials, master_seed),
+        NODE_DEGRADE: _summary(node_hits, trials * (n - 2)),
+        CLUSTER_DEGRADE: _summary(cluster_hits, trials),
+        BLOCK_DEGRADE: _summary(block_hits, lost_total),
+        ANY_BLOCK_DEGRADE: _summary(any_hits, trials),
     }
 
 
@@ -306,10 +306,10 @@ def run_assumption_trials(
 
     node_hits, cluster_hits, block_hits, any_hits = _run_partitioned(counts, trials, workers)
     return {
-        NODE_DEGRADE: _summary(NODE_DEGRADE, node_hits, trials * good, master_seed),
-        CLUSTER_DEGRADE: _summary(CLUSTER_DEGRADE, cluster_hits, trials, master_seed),
-        BLOCK_DEGRADE: _summary(BLOCK_DEGRADE, block_hits, trials, master_seed),
-        ANY_BLOCK_DEGRADE: _summary(ANY_BLOCK_DEGRADE, any_hits, trials, master_seed),
+        NODE_DEGRADE: _summary(node_hits, trials * good),
+        CLUSTER_DEGRADE: _summary(cluster_hits, trials),
+        BLOCK_DEGRADE: _summary(block_hits, trials),
+        ANY_BLOCK_DEGRADE: _summary(any_hits, trials),
     }
 
 
@@ -349,5 +349,4 @@ def run_rw_trials(
         return [_count_hit_trials(master_seed, start, stop, r, 0, slots, touched)]
 
     (touched_total,) = _run_partitioned(counts, trials, workers)
-    metric = READ_USER_DEGRADE if protocol == "read" else WRITE_USER_DEGRADE
-    return _summary(metric, touched_total, trials, master_seed)
+    return _summary(touched_total, trials)

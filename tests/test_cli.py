@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limpprob import InvalidParamsError, cli
 from limpprob.cli import CSV_HEADER, analytic_value, main
@@ -105,6 +109,13 @@ class TestSweep:
         )
         assert code == 2
         assert "error" in err
+
+    def test_out_is_a_directory_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        code, text, err = _run(capsys, "sweep", "--protocol", "read", "--nodes", "10", "--out", str(tmp_path / "d"))
+        assert (code, text) == (2, "")
+        assert err.startswith("io error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"] and list((tmp_path / "d").iterdir()) == []
 
 
 class TestCompare:
@@ -318,12 +329,54 @@ class TestFlags:
         ("--seed", "abc", "seed must be an integer, got 'abc'"),
         ("--mode", "fast", "bad mode 'fast'"),
         ("--sim", "exact", "bad sim flavor 'exact'"),
-    ], ids=["trials", "seed", "mode", "sim"])
+        ("--blocks", "abc", "blocks must be an integer, got 'abc'"),
+        ("--nodes", "20..10", "bad node range '20..10'"),
+        ("--nodes", "10..20:0", "bad node range '10..20:0'"),
+        ("--requests", "-1", "requests values must lie in 0..2**53, got -1"),
+        ("--requests", ",", "empty requests list ','"),
+        ("--blocks", str(2**53 + 1), f"blocks values must lie in 0..2**53, got {2**53 + 1}"),
+        ("--trials", "0", "trials and workers must be >= 1"),
+        ("--workers", "0", "trials and workers must be >= 1"),
+    ], ids=["trials", "seed", "mode", "sim", "blocks-unread", "range-down", "range-stride-0", "requests-negative",
+            "requests-empty", "blocks-above-2**53", "trials-0", "workers-0"])
     def test_bad_flag_value_gets_the_config_check(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "x.csv"
         code, text, err = _run(capsys, "sweep", "--protocol", "read", "--nodes", "10", flag, value, "--out", str(out))
         assert (code, text) == (2, "")
         assert err == f"error: {message}\n" and not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["model", "--protocol", "regen-node", "--nodes", "10", "--requests", "abc"],
+         "requests must be an integer, got 'abc'"),
+        (["compare", "--protocol", "read", "--blocks", "abc", "--out", "{out}"], "blocks must be an integer, got 'abc'"),
+        (["model", "--protocol", "read", "--nodes", "10..100000000000"],
+         "node range '10..100000000000' holds 99999999991 values, more than 1000000"),
+        (["model", "--protocol", "read", "--nodes", "9" * 400], f"nodes values must lie in 0..2**53, got {'9' * 400}"),
+        (["model", "--protocol", "regen-block", "--nodes", "10", "--blocks", "9" * 400],
+         f"blocks values must lie in 0..2**53, got {'9' * 400}"),
+        (["figures", "--nodes", "10"], "figures needs --out DIR"),
+    ], ids=["model-requests-unread", "compare-blocks-unread", "range-1e11", "nodes-400-digits",
+            "blocks-400-digits", "figures-no-out"])
+    def test_bad_input_exits_2_before_any_output(self, tmp_path, capsys, argv, message):
+        code, text, err = _run(capsys, *[arg.replace("{out}", str(tmp_path / "out")) for arg in argv])
+        assert (code, text) == (2, "")
+        assert err == f"error: {message}\n" and list(tmp_path.iterdir()) == []
+
+    @given(
+        protocol=st.sampled_from(sorted(cli.PROTOCOLS)),
+        flag=st.sampled_from(["nodes", "requests", "blocks"]),
+        value=st.one_of(
+            st.text(),
+            st.integers(-(10**400), 10**400).map(str),
+            st.from_regex(r"-?[0-9]{0,400}(\.\.[0-9]{0,400}(:-?[0-9]{0,3})?)?", fullmatch=True),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_grid_string_exits_0_or_2(self, protocol, flag, value):
+        # an uncaught exception, i.e. a traceback, fails the test
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["model", "--protocol", protocol, "--nodes", "10", f"--{flag}={value}"])
+        assert code == 0 or (code == 2 and err.getvalue().startswith("error: "))
 
 
 class TestConfig:
@@ -334,6 +387,26 @@ class TestConfig:
         assert cfg["mode"] == "analytic"
         assert cfg["protocol"] == "read"
         assert cfg["trials"] == 100_000
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "--protocol", "regen-block", "--nodes", "100", "--blocks", "3200,90"],
+        ["sweep", "--protocol", "read", "--nodes", "10..30:10", "--seed", "-1", "--out", "x.csv"],
+        ["compare", "--protocol", "read,write", "--tolerance", "0.05"],
+        ["figures", "--figure", "block", "--mode", "both", "--out", "figs"],
+    ], ids=["model", "sweep", "compare", "figures"])
+    def test_show_config_round_trips_through_config(self, tmp_path, capsys, argv):
+        code, out, _ = _run(capsys, *argv, "--show-config")
+        assert code == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(out)
+        assert _run(capsys, argv[0], "--config", str(config), "--show-config") == (0, out, "")
+
+    def test_show_config_prints_expanded_grid_lists(self, capsys):
+        code, out, _ = _run(capsys, "sweep", "--show-config", "--nodes", "10..30:10", "--requests", "5,1,5")
+        assert code == 0
+        cfg = json.loads(out)
+        assert (cfg["nodes"], cfg["requests"], cfg["blocks"]) == ([10, 20, 30], [5, 1], None)
+        assert cfg["protocol"] is None and cfg["figure"] is None
 
     def test_config_file_supplies_values_and_cli_wins(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -353,6 +426,13 @@ class TestConfig:
         code, _, err = _run(capsys, "sweep", "--config", str(config))
         assert code == 2
         assert "protocl" in err
+
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps([{"nodes": "10"}]))
+        code, text, err = _run(capsys, "sweep", "--config", str(config), "--protocol", "read")
+        assert (code, text) == (2, "")
+        assert err == f"error: config {str(config)!r} must hold a JSON object\n"
 
     def test_malformed_config_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -384,6 +464,18 @@ class TestConfig:
         code, text, err = _run(capsys, command, "--config", str(config))
         assert (code, text) == (2, "")
         assert f"{key} must be a string, got {value!r}" in err and not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("figure", "bogus", "unknown figure 'bogus'"),
+        ("blocks", [9, "x"], "blocks must be an integer, got 'x'"),
+    ], ids=["figure", "blocks"])
+    def test_config_value_the_command_ignores_is_still_checked(self, tmp_path, capsys, key, value, message):
+        config = tmp_path / "cfg.json"
+        out = tmp_path / "x.csv"
+        config.write_text(json.dumps({"protocol": "read", "nodes": "10", "out": str(out), key: value}))
+        code, text, err = _run(capsys, "sweep", "--config", str(config))
+        assert (code, text) == (2, "")
+        assert err == f"error: {message}\n" and not out.exists()
 
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

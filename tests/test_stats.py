@@ -62,9 +62,8 @@ def test_width_shrinks_with_trials():
 
 
 def test_estimate_summary_from_counts():
-    summary = EstimateSummary.from_counts("node_degrade", 36, 100, master_seed=9)
-    assert summary.metric == "node_degrade"
+    summary = EstimateSummary.from_counts(36, 100)
     assert summary.point_estimate == 0.36
     assert summary.ci_low <= summary.point_estimate <= summary.ci_high
-    assert summary.trials == 100 and summary.successes == 36 and summary.master_seed == 9
+    assert summary.trials == 100 and summary.successes == 36
     assert not math.isnan(summary.ci_low)
