@@ -11,6 +11,12 @@ from .errors import (
     LowLoadWarning,
 )
 from .model import (
+    ANY_BLOCK_DEGRADE,
+    BLOCK_DEGRADE,
+    CLUSTER_DEGRADE,
+    NODE_DEGRADE,
+    READ_USER_DEGRADE,
+    WRITE_USER_DEGRADE,
     BlockDegradeBreakdown,
     DegradedNodeCountPmf,
     any_block_degrade_prob,
@@ -28,17 +34,19 @@ from .model import (
 from .oracle import enum_read_prob, enum_slow_dest_prob, enum_write_prob
 from .params import ClusterParams, Probability, RegenParams, WorkloadParams
 from .stats import EstimateSummary, wilson_interval
-from .trials import (
-    ANY_BLOCK_DEGRADE,
-    BLOCK_DEGRADE,
-    CLUSTER_DEGRADE,
-    NODE_DEGRADE,
-    READ_USER_DEGRADE,
-    WRITE_USER_DEGRADE,
-    run_assumption_trials,
-    run_protocol_trials,
-    run_rw_trials,
-)
+
+# The samplers need numpy; they load on first access (PEP 562), so the closed
+# forms import without it.
+_SAMPLERS = ("run_assumption_trials", "run_protocol_trials", "run_rw_trials")
+
+
+def __getattr__(name: str):
+    if name in _SAMPLERS:
+        from . import trials
+
+        return getattr(trials, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -17,6 +17,9 @@ reads it (a bad ``--blocks`` fails ``sweep --protocol read``), and expands the
 grid keys into int lists, as ``--show-config`` prints them: a node range holds
 at most 1,000,000 values and a grid value is at most 2**53.
 
+Only a sampler run imports numpy (through :mod:`limpprob.trials`), so ``model``,
+``--mode analytic``, ``--show-config``, ``--help`` and usage errors start without it.
+
 Exit codes: 0 success, 1 comparison failure (beyond tolerance or no
 observations), 2 usage/config error.
 
@@ -42,19 +45,16 @@ from dataclasses import dataclass
 
 from . import model
 from .errors import InvalidParamsError, LowLoadWarning
-from .params import ClusterParams, RegenParams, WorkloadParams
-from .stats import EstimateSummary
-from .trials import (
+from .model import (
     ANY_BLOCK_DEGRADE,
     BLOCK_DEGRADE,
     CLUSTER_DEGRADE,
     NODE_DEGRADE,
     READ_USER_DEGRADE,
     WRITE_USER_DEGRADE,
-    run_assumption_trials,
-    run_protocol_trials,
-    run_rw_trials,
 )
+from .params import ClusterParams, RegenParams, WorkloadParams
+from .stats import EstimateSummary
 
 CSV_HEADER = "protocol,n,r_or_b,metric,source,value,ci_low,ci_high,trials,seed"
 CSV_COMMENT = (
@@ -148,12 +148,14 @@ class _SimCache:
         rw = PROTOCOLS[protocol][0] == "r"
         key = (protocol if rw else "regen", n, v)
         if key not in self._runs:
+            from . import trials  # numpy loads with the first sampler run
+
             if rw:
-                self._runs[key] = run_rw_trials(protocol, n, v, *self._run_args)
+                self._runs[key] = trials.run_rw_trials(protocol, n, v, *self._run_args)
             elif self.sim == "protocol":
-                self._runs[key] = run_protocol_trials(n, _regen_b_total(n, v), *self._run_args)
+                self._runs[key] = trials.run_protocol_trials(n, _regen_b_total(n, v), *self._run_args)
             else:
-                self._runs[key] = run_assumption_trials(RegenParams(n, v), *self._run_args)
+                self._runs[key] = trials.run_assumption_trials(RegenParams(n, v), *self._run_args)
         return self._runs[key] if rw else self._runs[key][metric]
 
 
@@ -190,7 +192,11 @@ class Row:
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".limpprob-", suffix=".tmp")
+    umask = os.umask(0)  # os.umask only reads by setting; the CLI writes from one thread
+    os.umask(umask)
     try:
+        # mkstemp makes the file 0600; give it the mode open() would have
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)

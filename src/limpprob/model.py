@@ -20,6 +20,14 @@ from dataclasses import dataclass
 from .errors import LowLoadWarning
 from .params import ClusterParams, Probability, RegenParams, WorkloadParams
 
+# Metric names, shared by the closed forms' callers, the samplers and the CSVs.
+NODE_DEGRADE = "node_degrade"
+CLUSTER_DEGRADE = "cluster_degrade"
+BLOCK_DEGRADE = "block_degrade"
+ANY_BLOCK_DEGRADE = "any_block_degrade"
+READ_USER_DEGRADE = "read_user_degrade"
+WRITE_USER_DEGRADE = "write_user_degrade"
+
 # Residual larger than this in "should be zero/one" cancellations indicates a
 # real bug, not floating-point noise; never clamp it away silently.
 _CLAMP_GUARD = 1e-9

@@ -20,6 +20,10 @@ bit-identical for a given master seed regardless of chunking or worker count.
 Trials are split into contiguous index ranges when ``workers > 1``, one
 thread each and at most one per CPU, and the counts are summed, which is
 order-independent.  ``_CHUNK_ELEMS`` bounds every transient array.
+
+Estimates are keyed by the metric names of :mod:`limpprob.model`.  This module
+and :mod:`limpprob.rng` are the only ones that import numpy; the package root
+and the CLI import them on first use.
 """
 
 from __future__ import annotations
@@ -30,19 +34,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import _at_least_two_hits
+from .model import ANY_BLOCK_DEGRADE, BLOCK_DEGRADE, CLUSTER_DEGRADE, NODE_DEGRADE, _at_least_two_hits
 from .params import ClusterParams, Probability, RegenParams, WorkloadParams
 from .rng import advance_np, raws_into, step_terms_np, to_index, to_uniforms, trial_states_np, uniforms_np
 from .stats import EstimateSummary
-
-NODE_DEGRADE = "node_degrade"
-CLUSTER_DEGRADE = "cluster_degrade"
-BLOCK_DEGRADE = "block_degrade"
-ANY_BLOCK_DEGRADE = "any_block_degrade"
-READ_USER_DEGRADE = "read_user_degrade"
-WRITE_USER_DEGRADE = "write_user_degrade"
-
-REGEN_METRICS = (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)
 
 # The one memory budget: every transient uniform array holds at most this
 # many elements, and a protocol trial places at most a third as many blocks.

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limpprob import InvalidParamsError, cli
+from limpprob import InvalidParamsError, cli, trials
 from limpprob.cli import CSV_HEADER, analytic_value, main
 
 
@@ -15,6 +17,15 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _python(cwd, code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports limpprob from this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True)
 
 
 def _read_rows(path):
@@ -257,8 +268,8 @@ class TestFigures:
             calls.append(args[0])
             return run_assumption_trials(*args, **kwargs)
 
-        run_assumption_trials = cli.run_assumption_trials
-        monkeypatch.setattr(cli, "run_assumption_trials", counting)
+        run_assumption_trials = trials.run_assumption_trials
+        monkeypatch.setattr(trials, "run_assumption_trials", counting)
         code, _, _ = _run(capsys, "figures", "--mode", "both", "--nodes", "10", "--trials", "20", "--out", str(tmp_path))
         assert code == 0
         assert len(calls) == len(set(calls)) == 5
@@ -521,3 +532,61 @@ class TestConfig:
              "--mode", "analytic", "--out", str(out))
         leftovers = [p for p in os.listdir(tmp_path) if p != "x.csv"]
         assert leftovers == []
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_csv_mode_follows_the_umask(self, tmp_path, umask, mode):
+        code = "import os, sys; os.umask(int(sys.argv[1], 8)); from limpprob.cli import main; sys.exit(main(sys.argv[2:]))"
+        proc = _python(tmp_path, code, oct(umask), "sweep", "--protocol", "read", "--nodes", "10", "--out", "x.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert os.stat(tmp_path / "x.csv").st_mode & 0o777 == mode
+
+
+# Runs each argv through main() in one interpreter; argv[1] == "blocked" makes `import numpy` fail.
+_ANALYTIC_CHILD = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from limpprob.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"results": results, "samplers": [m for m in ("limpprob.trials", "limpprob.rng") if m in sys.modules]}))
+"""
+
+
+class TestAnalyticPathWithoutNumpy:
+    COMMANDS = [
+        ["model", "--protocol", "write", "--nodes", "50", "--requests", "40"],
+        ["model", "--protocol", "regen-any-block", "--nodes", "100", "--blocks", "3200"],
+        ["sweep", "--mode", "analytic", "--protocol", "regen-block", "--nodes", "10,30", "--out", "sweep.csv"],
+        ["figures", "--mode", "analytic", "--nodes", "10,20", "--out", "figs"],
+        ["compare", "--show-config"],
+        ["--help"],
+        ["model", "--protocol", "read", "--nodes", "10", "--trials", "5"],
+    ]
+    EXIT_CODES = [0, 0, 0, 0, 0, 0, 2]
+
+    def _run_all(self, cwd, mode):
+        os.makedirs(cwd)
+        proc = _python(cwd, _ANALYTIC_CHILD, mode, json.dumps(self.COMMANDS))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["samplers"] == []
+        files = {p.relative_to(cwd).as_posix(): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+        return report["results"], files
+
+    def test_same_output_with_numpy_blocked(self, tmp_path):
+        blocked, blocked_files = self._run_all(tmp_path / "blocked", "blocked")
+        plain, plain_files = self._run_all(tmp_path / "plain", "plain")
+        assert [code for code, _, _ in blocked] == self.EXIT_CODES
+        assert blocked == plain
+        assert blocked_files == plain_files
+        assert len(blocked_files) == 9  # sweep.csv and the eight figure panels

@@ -38,6 +38,17 @@ NODE_10_90 = 0.36110217217355966568
 CLUSTER_10_500 = 0.95789415572912219584
 
 
+class TestLazySamplers:
+    def test_package_root_resolves_the_samplers_from_trials(self):
+        import limpprob
+        import limpprob.trials
+
+        assert limpprob.run_protocol_trials is limpprob.trials.run_protocol_trials
+        assert not hasattr(limpprob, "bogus")
+        with pytest.raises(AttributeError, match="bogus"):
+            limpprob.bogus
+
+
 class TestPartition:
     def test_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
