@@ -18,11 +18,9 @@ from .model import (
     READ_USER_DEGRADE,
     WRITE_USER_DEGRADE,
     BlockDegradeBreakdown,
-    DegradedNodeCountPmf,
     any_block_degrade_prob,
     block_degrade_breakdown,
     cluster_degrade_prob,
-    degraded_node_count_pmf,
     node_degrade_prob,
     read_degrade_prob,
     read_user_degrade_prob,
@@ -57,7 +55,6 @@ __all__ = [
     "BudgetExceededError",
     "CLUSTER_DEGRADE",
     "ClusterParams",
-    "DegradedNodeCountPmf",
     "EstimateSummary",
     "InvalidParamsError",
     "LowLoadWarning",
@@ -70,7 +67,6 @@ __all__ = [
     "any_block_degrade_prob",
     "block_degrade_breakdown",
     "cluster_degrade_prob",
-    "degraded_node_count_pmf",
     "enum_read_prob",
     "enum_slow_dest_prob",
     "enum_write_prob",

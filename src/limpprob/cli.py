@@ -8,8 +8,8 @@ Subcommands (``_COMMANDS`` holds each one's handler, help and flags):
 * ``compare``  - run analytic and simulated estimators on a grid and gate the
   absolute gap; exit code 1 when any point fails, including a point whose
   estimate rests on no observations (status ``no-observations``)
-* ``figures``  - write the canonical curve datasets, one CSV per panel; every
-  panel is computed before the first file is written
+* ``figures``  - write the canonical curve datasets, one CSV per panel; no
+  panel is renamed into place before every panel is complete
 
 A subcommand takes only the flags it reads; each flag is a config key with one
 ``_FLAGS`` row.  ``_effective`` converts and checks every key, whichever command
@@ -28,20 +28,22 @@ CSV schema (exact column order)::
     protocol,n,r_or_b,metric,source,value,ci_low,ci_high,trials,seed
 
 Analytic rows leave ci_low/ci_high/trials/seed empty; values carry 12
-significant digits; rows are sorted by (protocol, n, r_or_b, source, metric),
-with an empty r_or_b first.  Files are written atomically (temp file, then
-rename).
+significant digits; rows come in (protocol, n, r_or_b, source, metric) order
+because each command walks its grid in that order (``_grid``, also for ``model``
+and the ``compare`` table).  ``_write_csvs`` streams them into temp files and
+renames those only once all are complete: flat memory, and no file on error.
 """
 
 from __future__ import annotations
 
 import argparse
+import heapq
+import itertools
 import json
 import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
 
 from . import model
 from .errors import InvalidParamsError, LowLoadWarning
@@ -76,7 +78,9 @@ _BLOCK_FACTORS = (1, 10, 50)
 _FIGURE_BLOCK_FACTORS = (1, 5, 10, 50)
 _FIGURE_ANCHOR = (100, 3200)  # the 20%-full 1TB node data point
 _WRITE_R_ANCHOR = 40  # with n=50 this is the one-slow-write-per-40-requests point
-_FIGURES = ("read", "write", "node-cluster", "block")
+# regeneration figure -> its protocols, one panel each
+_REGEN_FIGURES = {"node-cluster": ("regen-node", "regen-cluster"), "block": ("regen-block", "regen-any-block")}
+_FIGURES = ("read", "write", *_REGEN_FIGURES)
 
 # flag (and config key) -> (default, help)
 _FLAGS = {
@@ -159,57 +163,42 @@ class _SimCache:
         return self._runs[key] if rw else self._runs[key][metric]
 
 
-@dataclass
-class Row:
-    protocol: str
-    n: int
-    r_or_b: int | None
-    metric: str
-    source: str
-    value: float
-    ci_low: float | None = None
-    ci_high: float | None = None
-    trials: int | None = None
-    seed: int | None = None
-
-    def render(self) -> str:
-        return ",".join(
-            [
-                self.protocol,
-                str(self.n),
-                "" if self.r_or_b is None else str(self.r_or_b),
-                self.metric,
-                self.source,
-                _fmt(self.value),
-                "" if self.ci_low is None else _fmt(self.ci_low),
-                "" if self.ci_high is None else _fmt(self.ci_high),
-                "" if self.trials is None else str(self.trials),
-                "" if self.seed is None else str(self.seed),
-            ]
-        )
+def _csv_line(protocol: str, n: int, v: int | None, metric: str, value: float,
+              est: EstimateSummary | None = None, seed: int | None = None) -> str:
+    """One CSV row: analytic without est (ci_low, ci_high, trials and seed left empty), else simulated."""
+    key = f"{protocol},{n},{'' if v is None else v},{metric}"
+    if est is None:
+        return f"{key},analytic,{_fmt(value)},,,,"
+    return f"{key},simulated,{_fmt(value)},{_fmt(est.ci_low)},{_fmt(est.ci_high)},{est.trials},{seed}"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".limpprob-", suffix=".tmp")
+def _write_csvs(files: dict) -> dict[str, int]:
+    """Stream each path's rows into a temp file beside it and rename them all once the last one is complete;
+    an error unlinks every temp file.  Returns each path's row count."""
     umask = os.umask(0)  # os.umask only reads by setting; the CLI writes from one thread
     os.umask(umask)
+    temps: list[str] = []
+    counts: dict[str, int] = {}
     try:
-        # mkstemp makes the file 0600; give it the mode open() would have
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, rows in files.items():
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".limpprob-", suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", newline="") as handle:
+                # mkstemp makes the file 0600; give it the mode open() would have
+                os.chmod(tmp, 0o666 & ~umask)
+                handle.write(f"{CSV_COMMENT}\n{CSV_HEADER}\n")
+                count = 0
+                for count, row in enumerate(rows, 1):
+                    handle.write(f"{row}\n")
+            counts[path] = count
+        for tmp, path in zip(temps, files):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
-
-
-def _write_csv(path: str, rows: list[Row]) -> None:
-    rows = sorted(rows, key=lambda r: (r.protocol, r.n, -1 if r.r_or_b is None else r.r_or_b, r.source, r.metric))
-    lines = [CSV_COMMENT, CSV_HEADER, *(row.render() for row in rows)]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return counts
 
 
 def _parse_grid(key: str, text) -> list[int]:
@@ -302,27 +291,34 @@ def _check_protocol(name) -> str:
 
 
 def _grid(cfg: dict, protocol: str, factors=_BLOCK_FACTORS):
-    """Yield the (n, r_or_b) points of the configured grid for one protocol; b defaults to (n-1) * factors."""
-    for n in cfg["nodes"]:
+    """Yield the (n, r_or_b) points of the configured grid for one protocol in ascending order, the CSV's;
+    b defaults to (n-1) * factors."""
+    for n in sorted(cfg["nodes"]):
         if PROTOCOLS[protocol][0] == "r":
             values = cfg["requests"]
         else:
             values = cfg["blocks"] or [(n - 1) * k for k in factors]
-        for v in values:
+        for v in sorted(values):
             yield n, v
 
 
-def _point_rows(cfg: dict, cache: _SimCache, protocol: str, metric: str, n: int, v: int | None) -> list[Row]:
-    """The analytic and/or simulated rows that cfg["mode"] asks for at one point."""
-    rows = []
-    if cfg["mode"] in ("analytic", "both"):
-        rows.append(Row(protocol, n, v, metric, "analytic", analytic_value(metric, n, v)))
-    # only a protocol's headline metric has a sampler
-    if cfg["mode"] in ("simulate", "both") and metric == PROTOCOLS[protocol][1]:
-        est = cache.estimate(protocol, metric, n, v)
-        rows.append(Row(protocol, n, v, metric, "simulated", est.point_estimate, est.ci_low, est.ci_high,
-                        est.trials, cfg["seed"]))
-    return rows
+def _metrics(protocol: str):
+    """The metrics `model` and `figures` report for a protocol: its headline, or regen-block's split."""
+    return _BLOCK_METRICS if protocol == "regen-block" else [PROTOCOLS[protocol][1]]
+
+
+def _point_rows(cfg: dict, cache: _SimCache, protocol: str, metrics, points):
+    """Lazily yield the CSV lines cfg["mode"] asks for at each point, in CSV order: the analytic rows by metric,
+    then the simulated row of the protocol's headline metric, the only one with a sampler."""
+    analytic = sorted(metrics) if cfg["mode"] in ("analytic", "both") else []
+    headline = PROTOCOLS[protocol][1]
+    simulate = cfg["mode"] in ("simulate", "both") and headline in metrics
+    for n, v in points:
+        for metric in analytic:
+            yield _csv_line(protocol, n, v, metric, analytic_value(metric, n, v))
+        if simulate:
+            est = cache.estimate(protocol, headline, n, v)
+            yield _csv_line(protocol, n, v, headline, est.point_estimate, est, cfg["seed"])
 
 
 def cmd_model(cfg: dict) -> int:
@@ -331,7 +327,7 @@ def cmd_model(cfg: dict) -> int:
         raise InvalidParamsError("model needs exactly one --nodes value")
     n = cfg["nodes"][0]
     kind = PROTOCOLS[protocol][0]
-    metrics = _BLOCK_METRICS if protocol == "regen-block" else [PROTOCOLS[protocol][1]]
+    metrics = _metrics(protocol)
     # every line is computed before any is printed, so an error leaves stdout empty
     lines = [f"{protocol}_degrade = {_fmt(analytic_value(f'{protocol}_degrade', n, None))}"] if kind == "r" else []
     for _, v in _grid(cfg, protocol):
@@ -348,11 +344,9 @@ def cmd_sweep(cfg: dict) -> int:
     protocol = _check_protocol(cfg["protocol"])
     if not cfg["out"]:
         raise InvalidParamsError("sweep needs --out PATH")
-    metric = PROTOCOLS[protocol][1]
-    cache = _SimCache(cfg)
-    rows = [row for n, v in _grid(cfg, protocol) for row in _point_rows(cfg, cache, protocol, metric, n, v)]
-    _write_csv(cfg["out"], rows)
-    print(f"wrote {len(rows)} rows to {cfg['out']}")
+    rows = _point_rows(cfg, _SimCache(cfg), protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol))
+    counts = _write_csvs({cfg["out"]: rows})
+    print(f"wrote {counts[cfg['out']]} rows to {cfg['out']}")
     return 0
 
 
@@ -374,28 +368,30 @@ def _compare_protocols(cfg: dict) -> list[str]:
 def cmd_compare(cfg: dict) -> int:
     protocols = _compare_protocols(cfg)
     cache = _SimCache(cfg)
-    both = {**cfg, "mode": "both"}
     tolerance = cfg["tolerance"]
-    rows: list[Row] = []
+    # protocol -> its points' CSV line pairs; every point costs a sampler run, so holding them is cheap
+    rows: dict[str, list[str]] = {protocol: [] for protocol in protocols}
     lines: list[str] = []
     failures = beyond = 0
     for protocol in protocols:
         metric = PROTOCOLS[protocol][1]
         for n, v in _grid(cfg, protocol):
-            analytic, simulated = _point_rows(both, cache, protocol, metric, n, v)
-            gap = abs(analytic.value - simulated.value)
-            if simulated.trials == 0:
+            analytic = analytic_value(metric, n, v)
+            est = cache.estimate(protocol, metric, n, v)
+            gap = abs(analytic - est.point_estimate)
+            if est.trials == 0:
                 # nothing was observed (e.g. no block was lost), so the [0, 1] CI proves nothing
                 status = "no-observations"
             else:
-                status = "ok" if gap <= tolerance or simulated.ci_low <= analytic.value <= simulated.ci_high else "FAIL"
+                status = "ok" if gap <= tolerance or est.ci_low <= analytic <= est.ci_high else "FAIL"
             failures += status != "ok"
             beyond += status == "FAIL"
             lines.append(
-                f"{protocol:<16}{n:>5}{v:>8}  {metric:<20}{analytic.value:>12.6g}{simulated.value:>12.6g}"
+                f"{protocol:<16}{n:>5}{v:>8}  {metric:<20}{analytic:>12.6g}{est.point_estimate:>12.6g}"
                 f"{gap:>10.2g}  {status}"
             )
-            rows += (analytic, simulated)
+            rows[protocol] += (_csv_line(protocol, n, v, metric, analytic),
+                               _csv_line(protocol, n, v, metric, est.point_estimate, est, cfg["seed"]))
     header = f"{'protocol':<16}{'n':>5}{'r_or_b':>8}  {'metric':<20}{'analytic':>12}{'estimate':>12}{'gap':>10}  status"
     print("\n".join([header, "-" * len(header), *lines]))
     verdict = "all within tolerance" if beyond == 0 else f"{beyond} point(s) beyond tolerance"
@@ -403,38 +399,32 @@ def cmd_compare(cfg: dict) -> int:
         verdict = f"{failures - beyond} point(s) without observations, {verdict}"
     print(f"compare: {len(lines) - failures}/{len(lines)} ok ({verdict} {tolerance:g}, sim={cfg['sim']}, trials={cfg['trials']})")
     if cfg["out"]:
-        _write_csv(cfg["out"], rows)
-        print(f"wrote {len(rows)} rows to {cfg['out']}")
+        counts = _write_csvs({cfg["out"]: (line for protocol in sorted(rows) for line in rows[protocol])})
+        print(f"wrote {counts[cfg['out']]} rows to {cfg['out']}")
     return 1 if failures else 0
 
 
-def _figure_panels(cfg: dict) -> dict[str, list[Row]]:
-    """Every panel's rows for cfg's figures, with one sampler cache for all of them."""
+def _figure_points(cfg: dict):
+    """The regeneration panels' (n, b) points in ascending order, with the (100, 3200) anchor merged in once."""
+    merged = heapq.merge(_grid(cfg, "regen-block", _FIGURE_BLOCK_FACTORS), [_FIGURE_ANCHOR])
+    return (point for point, _ in itertools.groupby(merged))
+
+
+def _figure_panels(cfg: dict) -> dict:
+    """Every panel of cfg's figures as a lazy walk of its rows, all under one sampler cache."""
     cache = _SimCache(cfg)
-    panels: dict[str, list[Row]] = {}
-
-    def add(panel: str, protocol: str, metric: str, n: int, v: int | None):
-        panels.setdefault(panel, []).extend(_point_rows(cfg, cache, protocol, metric, n, v))
-
+    panels = {}
     for figure in _FIGURES if cfg["figure"] in (None, "all") else [cfg["figure"]]:
         if figure in ("read", "write"):
-            user_requests = sorted({*cfg["requests"], _WRITE_R_ANCHOR} if figure == "write" else cfg["requests"])
-            for n in cfg["nodes"]:
-                add(f"{figure}_request_prob", figure, f"{figure}_degrade", n, None)
-                for r in user_requests:
-                    add(f"{figure}_user_prob", figure, f"{figure}_user_degrade", n, r)
+            requests = {*cfg["requests"], _WRITE_R_ANCHOR} if figure == "write" else cfg["requests"]
+            nodes = ((n, None) for n in sorted(cfg["nodes"]))
+            panels[f"{figure}_request_prob"] = _point_rows(cfg, cache, figure, [f"{figure}_degrade"], nodes)
+            user_points = _grid({**cfg, "requests": requests}, figure)
+            panels[f"{figure}_user_prob"] = _point_rows(cfg, cache, figure, [f"{figure}_user_degrade"], user_points)
             continue
-        points = list(_grid(cfg, "regen-block", _FIGURE_BLOCK_FACTORS))
-        if _FIGURE_ANCHOR not in points:
-            points.append(_FIGURE_ANCHOR)
-        for n, b in points:
-            if figure == "node-cluster":
-                add("node_degrade_prob", "regen-node", NODE_DEGRADE, n, b)
-                add("cluster_degrade_prob", "regen-cluster", CLUSTER_DEGRADE, n, b)
-            else:
-                for metric in _BLOCK_METRICS:
-                    add("block_degrade_prob", "regen-block", metric, n, b)
-                add("any_block_degrade_prob", "regen-any-block", ANY_BLOCK_DEGRADE, n, b)
+        for protocol in _REGEN_FIGURES[figure]:
+            points = _figure_points(cfg)
+            panels[f"{PROTOCOLS[protocol][1]}_prob"] = _point_rows(cfg, cache, protocol, _metrics(protocol), points)
     return panels
 
 
@@ -443,12 +433,20 @@ def cmd_figures(cfg: dict) -> int:
     if not out_dir:
         raise InvalidParamsError("figures needs --out DIR")
     panels = _figure_panels(cfg)
-    # a failing panel has raised by now, so an error writes no file
+    created, parent = [], os.path.abspath(out_dir)  # the directories makedirs makes, deepest first
+    while not os.path.exists(parent):
+        created.append(parent)
+        parent = os.path.dirname(parent)
     os.makedirs(out_dir, exist_ok=True)
-    paths = {panel: os.path.join(out_dir, f"{panel}.csv") for panel in panels}
-    for panel, rows in panels.items():
-        _write_csv(paths[panel], rows)
-    print("\n".join(f"wrote {path}" for path in paths.values()))
+    paths = [os.path.join(out_dir, f"{panel}.csv") for panel in panels]
+    try:
+        _write_csvs(dict(zip(paths, panels.values())))
+    except BaseException:
+        # an error leaves no file, and no directory that this run made
+        for directory in created:
+            os.rmdir(directory)
+        raise
+    print("\n".join(f"wrote {path}" for path in paths))
     return 0
 
 

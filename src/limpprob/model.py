@@ -44,19 +44,6 @@ def _guarded_clamp(value: float, context: str) -> float:
 
 
 @dataclass(frozen=True)
-class DegradedNodeCountPmf:
-    """Distribution of the number of degraded good nodes (0..n-2).
-
-    Binomial over the n-2 good nodes, each independently degraded with the
-    single-node probability from :func:`node_degrade_prob`.
-    """
-
-    n: int
-    b: int
-    mass: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class BlockDegradeBreakdown:
     """Probability that one lost block cannot be regenerated promptly.
 
@@ -204,14 +191,6 @@ def _binomial_window(count: int, p: float) -> tuple[int, list[float]]:
     below = walk(-1)
     below.reverse()
     return mode - len(below), below + [math.exp(log_term(mode))] + walk(1)
-
-
-def degraded_node_count_pmf(params: RegenParams) -> DegradedNodeCountPmf:
-    """Full distribution of the degraded good-node count i = 0..n-2."""
-    count = params.n - 2
-    lo, mass = _binomial_window(count, node_degrade_prob(params))
-    full = [0.0] * lo + mass + [0.0] * (count + 1 - lo - len(mass))
-    return DegradedNodeCountPmf(params.n, params.b, tuple(full))
 
 
 def block_degrade_breakdown(params: RegenParams) -> BlockDegradeBreakdown:

@@ -98,15 +98,28 @@ class TestSweep:
         assert len(rows) == 1
         assert float(rows[0][5]) >= 0.999
 
-    def test_rows_sorted(self, tmp_path, capsys):
-        out = tmp_path / "sorted.csv"
-        code, _, _ = _run(
-            capsys, "sweep", "--protocol", "read", "--nodes", "30,10,20",
-            "--requests", "10,1", "--mode", "analytic", "--out", str(out),
-        )
+    @pytest.mark.parametrize("argv, table_protocols", [
+        (["sweep", "--protocol", "read", "--nodes", "30,10,20", "--requests", "10,1", "--mode", "analytic",
+          "--out", "{tmp}/sorted.csv"], None),
+        # the (100, 3200) anchor falls between n = 10 and n = 120 in the regeneration panels
+        (["figures", "--mode", "both", "--nodes", "120,10", "--requests", "100,1", "--trials", "20", "--out", "{tmp}"],
+         None),
+        (["compare", "--protocol", "write,regen-node,read", "--nodes", "30,10", "--trials", "200",
+          "--out", "{tmp}/cmp.csv"], ["write", "regen-node", "read"]),
+    ], ids=["sweep", "figures-anchor-mid-walk", "compare"])
+    def test_rows_sorted(self, tmp_path, capsys, argv, table_protocols):
+        # nothing sorts the rows: each command must walk its grid in CSV order
+        code, text, _ = _run(capsys, *[arg.replace("{tmp}", str(tmp_path)) for arg in argv])
         assert code == 0
-        keys = [(r[0], int(r[1]), int(r[2]), r[4]) for r in _read_rows(out)]
-        assert keys == sorted(keys)
+        paths = sorted(tmp_path.glob("*.csv"))
+        assert paths
+        for path in paths:
+            keys = [(r[0], int(r[1]), -1 if r[2] == "" else int(r[2]), r[4], r[3]) for r in _read_rows(path)]
+            assert keys == sorted(set(keys)), path.name
+        if table_protocols:
+            # the compare table keeps the user's protocol order
+            table = text.splitlines()[2:-2]
+            assert list(dict.fromkeys(line.split()[0] for line in table)) == table_protocols
 
     def test_missing_out_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "sweep", "--protocol", "read", "--mode", "analytic")
@@ -280,6 +293,26 @@ class TestFigures:
         code, text, err = _run(capsys, "figures", "--nodes", "4", "--mode", "analytic", "--out", str(out))
         assert (code, text) == (2, "")
         assert "error" in err and not out.exists()
+
+
+    def test_failure_after_complete_panels_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        # the four read and write panels are complete temp files when the node panel reaches n = 2000,
+        # whose 1,332,667 planted blocks exceed the protocol sampler's cap
+        temps = []
+        mkstemp = cli.tempfile.mkstemp
+
+        def recording_mkstemp(*args, **kwargs):
+            fd, path = mkstemp(*args, **kwargs)
+            temps.append(path)
+            return fd, path
+
+        monkeypatch.setattr(cli.tempfile, "mkstemp", recording_mkstemp)
+        out = tmp_path / "figs"
+        code, text, err = _run(capsys, "figures", "--mode", "both", "--sim", "protocol", "--nodes", "10,2000",
+                               "--trials", "2", "--out", str(out))
+        assert (code, text) == (2, "")
+        assert "place at most" in err
+        assert len(temps) == 5 and list(tmp_path.iterdir()) == []
 
 
 class TestAnalyticValue:
@@ -541,6 +574,32 @@ class TestFileMode:
         proc = _python(tmp_path, code, oct(umask), "sweep", "--protocol", "read", "--nodes", "10", "--out", "x.csv")
         assert proc.returncode == 0, proc.stderr
         assert os.stat(tmp_path / "x.csv").st_mode & 0o777 == mode
+
+
+# The child's own peak RSS: ru_maxrss would keep the forking pytest process's peak across exec, VmHWM does not.
+_PEAK_RSS_CHILD = """
+import sys
+from limpprob.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+class TestBoundedMemory:
+    def test_peak_rss_flat_in_row_count(self, tmp_path):
+        requests = ",".join(str(r) for r in range(1, 51))
+        peak_kib = []
+        for nodes, rows in (("10..49", 2_000), ("10..2009", 100_000)):
+            proc = _python(tmp_path, _PEAK_RSS_CHILD, "sweep", "--protocol", "read", "--mode", "analytic",
+                           "--nodes", nodes, "--requests", requests, "--out", "x.csv")
+            assert proc.returncode == 0, proc.stderr
+            assert f"wrote {rows} rows" in proc.stdout
+            peak_kib.append(int(proc.stdout.split()[-1]))
+        # holding every row grows the peak by about 45 MB over these 98,000 rows
+        assert peak_kib[1] - peak_kib[0] < 10 * 1024
 
 
 # Runs each argv through main() in one interpreter; argv[1] == "blocked" makes `import numpy` fail.

@@ -20,7 +20,6 @@ from limpprob import (
     any_block_degrade_prob,
     block_degrade_breakdown,
     cluster_degrade_prob,
-    degraded_node_count_pmf,
     enum_read_prob,
     enum_slow_dest_prob,
     enum_write_prob,
@@ -32,6 +31,7 @@ from limpprob import (
     write_degrade_prob,
     write_user_degrade_prob,
 )
+from limpprob.model import _binomial_window
 
 # frozen independent-oracle values (mpmath, 50 digits)
 READ_USER_100_100 = 0.63396765872677049507
@@ -142,29 +142,34 @@ class TestRegenScalars:
             assert cluster_degrade_prob(params) <= node_degrade_prob(params)
 
 
+def _degraded_count_pmf(params):
+    """P(i good nodes degraded), i = 0..n-2: the window of the Binomial(n-2, node_degrade) mass padded with zeros."""
+    count = params.n - 2
+    lo, mass = _binomial_window(count, node_degrade_prob(params))
+    return [0.0] * lo + mass + [0.0] * (count + 1 - lo - len(mass))
+
+
 class TestPmf:
     def test_degenerate_at_zero(self):
-        pmf = degraded_node_count_pmf(RegenParams(10, 9))
-        assert pmf.mass[0] == 1.0
-        assert all(v == 0.0 for v in pmf.mass[1:])
+        mass = _degraded_count_pmf(RegenParams(10, 9))
+        assert mass[0] == 1.0
+        assert all(v == 0.0 for v in mass[1:])
 
     def test_normalization(self):
         for n in range(5, 151):
             for b in (0, n - 1, 10 * (n - 1), 100 * (n - 1)):
-                mass = degraded_node_count_pmf(RegenParams(n, b)).mass
+                mass = _degraded_count_pmf(RegenParams(n, b))
                 assert len(mass) == n - 1
                 assert abs(sum(mass) - 1.0) <= 1e-12
 
     def test_top_entry_is_cluster_probability(self):
         params = RegenParams(10, 90)
-        pmf = degraded_node_count_pmf(params)
-        assert pmf.mass[8] == pytest.approx(cluster_degrade_prob(params), rel=1e-12)
+        assert _degraded_count_pmf(params)[8] == pytest.approx(cluster_degrade_prob(params), rel=1e-12)
 
     def test_matches_direct_binomial(self):
         params = RegenParams(12, 60)
         p = node_degrade_prob(params)
-        mass = degraded_node_count_pmf(params).mass
-        for i, got in enumerate(mass):
+        for i, got in enumerate(_degraded_count_pmf(params)):
             want = math.comb(10, i) * p**i * (1 - p) ** (10 - i)
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -262,7 +267,7 @@ class TestPmfWindow:
             got = [split.both_on_degraded, split.one_on_slow, split.total, any_block_degrade_prob(params)]
             if [v.hex() for v in got] != [v.hex() for v in (*split_want, any_want)]:
                 failures.append((params.n, params.b, "breakdown"))
-            if [v.hex() for v in degraded_node_count_pmf(params).mass] != [v.hex() for v in pmf]:
+            if [v.hex() for v in _degraded_count_pmf(params)] != [v.hex() for v in pmf]:
                 failures.append((params.n, params.b, "pmf"))
         assert not failures, failures[:5]
 
@@ -363,7 +368,7 @@ def test_all_outputs_are_probabilities(n, b):
     ]
     split = block_degrade_breakdown(params)
     values += [split.both_on_degraded, split.one_on_slow, split.total]
-    values += list(degraded_node_count_pmf(params).mass)
+    values += _degraded_count_pmf(params)
     for v in values:
         assert 0.0 <= v <= 1.0
         assert not math.isnan(v)

@@ -9,7 +9,6 @@ PUBLIC = [
     "BudgetExceededError",
     "CLUSTER_DEGRADE",
     "ClusterParams",
-    "DegradedNodeCountPmf",
     "EstimateSummary",
     "InvalidParamsError",
     "LowLoadWarning",
@@ -22,7 +21,6 @@ PUBLIC = [
     "any_block_degrade_prob",
     "block_degrade_breakdown",
     "cluster_degrade_prob",
-    "degraded_node_count_pmf",
     "enum_read_prob",
     "enum_slow_dest_prob",
     "enum_write_prob",
