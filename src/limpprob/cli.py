@@ -13,9 +13,10 @@ Subcommands (``_COMMANDS`` holds each one's handler, help and flags):
 
 A subcommand takes only the flags it reads; each flag is a config key with one
 ``_FLAGS`` row.  ``_effective`` converts and checks every key, whichever command
-reads it (a bad ``--blocks`` fails ``sweep --protocol read``), and expands the
-grid keys into int lists, as ``--show-config`` prints them: a node range holds
-at most 1,000,000 values and a grid value is at most 2**53.
+reads it (a bad ``--blocks`` fails ``sweep --protocol read``), and turns the
+grid keys into int lists, as ``--show-config`` prints them, or a node range
+into a ``range``: a node range holds at most 1,000,000 values and a grid value
+is at most 2**53.
 
 Only a sampler run imports numpy (through :mod:`limpprob.trials`), so ``model``,
 ``--mode analytic``, ``--show-config``, ``--help`` and usage errors start without it.
@@ -201,9 +202,9 @@ def _write_csvs(files: dict) -> dict[str, int]:
     return counts
 
 
-def _parse_grid(key: str, text) -> list[int]:
+def _parse_grid(key: str, text) -> list[int] | range:
     """A grid value as ints: an int, a comma list 'A,B,C' or a JSON list (a repeated value is kept once);
-    nodes also take a range 'A..B:S' or 'A..B'."""
+    nodes also take a range 'A..B:S' or 'A..B', kept as a range so that it costs no memory per value."""
     if key == "nodes" and isinstance(text, str) and ".." in text:
         span, _, stride_s = text.strip().partition(":")
         lo_s, _, hi_s = span.partition("..")
@@ -214,7 +215,7 @@ def _parse_grid(key: str, text) -> list[int]:
         nodes = range(lo, hi + 1, stride)
         if len(nodes) > 1_000_000:
             raise InvalidParamsError(f"node range {text!r} holds {len(nodes)} values, more than 1000000")
-        return list(nodes)
+        return nodes
     parts = text if isinstance(text, (list, tuple)) else [p for p in str(text).split(",") if p.strip()]
     values = list(dict.fromkeys(_grid_value(key, v) for v in parts))
     if not values:
@@ -290,10 +291,15 @@ def _check_protocol(name) -> str:
     return name
 
 
+def _ascending(values):
+    """A grid list sorted, or a node range as it is: ascending by construction, and never expanded."""
+    return values if isinstance(values, range) else sorted(values)
+
+
 def _grid(cfg: dict, protocol: str, factors=_BLOCK_FACTORS):
     """Yield the (n, r_or_b) points of the configured grid for one protocol in ascending order, the CSV's;
     b defaults to (n-1) * factors."""
-    for n in sorted(cfg["nodes"]):
+    for n in _ascending(cfg["nodes"]):
         if PROTOCOLS[protocol][0] == "r":
             values = cfg["requests"]
         else:
@@ -417,7 +423,7 @@ def _figure_panels(cfg: dict) -> dict:
     for figure in _FIGURES if cfg["figure"] in (None, "all") else [cfg["figure"]]:
         if figure in ("read", "write"):
             requests = {*cfg["requests"], _WRITE_R_ANCHOR} if figure == "write" else cfg["requests"]
-            nodes = ((n, None) for n in sorted(cfg["nodes"]))
+            nodes = ((n, None) for n in _ascending(cfg["nodes"]))
             panels[f"{figure}_request_prob"] = _point_rows(cfg, cache, figure, [f"{figure}_degrade"], nodes)
             user_points = _grid({**cfg, "requests": requests}, figure)
             panels[f"{figure}_user_prob"] = _point_rows(cfg, cache, figure, [f"{figure}_user_degrade"], user_points)
@@ -485,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective(args, command_defaults)
         if args.show_config:
-            print(json.dumps(cfg, indent=2, sort_keys=True))
+            print(json.dumps(cfg, indent=2, sort_keys=True, default=list))  # a node range prints as its list
             return 0
         return handler(cfg)
     except InvalidParamsError as exc:

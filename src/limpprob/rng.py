@@ -33,7 +33,9 @@ by a per-trial replay in tests/test_trials.py that reads it through
 :class:`TrialStream` and applies the protocol rules block by block.  The
 protocol kernel reads the placement positions as raw 64-bit values
 (:func:`raws_into`, into buffers it reuses) and tests them against exact
-integer thresholds instead of uniforms: same positions, same values.
+integer thresholds instead of uniforms: same positions, same values.  It
+reads a lost block's source coin only where its destination rank picks the
+slow node, the only case the coin can change an outcome.
 """
 
 from __future__ import annotations

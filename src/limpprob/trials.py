@@ -74,23 +74,12 @@ def _summary(successes: int, observations: int) -> EstimateSummary:
     return EstimateSummary.from_counts(successes, observations)
 
 
-def _distinct_triples(u: np.ndarray, n: int) -> np.ndarray:
-    """Map a (k, 3) uniform block to k sorted uniform 3-subsets of range(n)."""
-    i1 = to_index(u[:, 0], n)
-    i2 = to_index(u[:, 1], n - 1)
-    i2 += i2 >= i1
-    i3 = to_index(u[:, 2], n - 2)
-    lo = np.minimum(i1, i2)
-    hi = np.maximum(i1, i2)
-    i3 += i3 >= lo
-    i3 += i3 >= hi
-    return np.sort(np.stack([i1, i2, i3], axis=1), axis=1)
-
-
 def _holds_node_zero(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
-    """Whether the :func:`_distinct_triples` triple of raw uniforms holds node 0.
+    """Whether the replica triple of raw uniforms u0, u1, u2 holds node 0.
 
-    It does iff one of its three raw indices is 0, and node 0 then sorts first.
+    The triple is i1 = index(u0, n), then index(u1, n-1) and index(u2, n-2)
+    each stepped past the indices before it, so it holds node 0 iff one of the
+    three raw indices is 0.
     """
     return (u0 * n < 1.0) | (u1 * (n - 1) < 1.0) | (u2 * (n - 2) < 1.0)
 
@@ -118,27 +107,36 @@ def run_protocol_trials(
     finish and all others are instant, so a good node is degraded when at
     least 2 of the tasks it sources go to node 1, the cluster when every good
     node is, and a lost block when each live holder is node 1 or degraded.
-    The kernel runs batches of whole trials and reads the stream positions
-    documented in :mod:`limpprob.rng`; only lost blocks get a replica triple.
     The node-degrade estimate averages over all good nodes; the block-degrade
-    estimate averages over all lost blocks of all trials.  Placement is
-    hashed in tiles of at most _CHUNK_ELEMS >> 4 raw values: whole trials per
-    batch, or one larger trial in block chunks.  Every tile reuses two buffers
-    made once per trial range, and a block is lost when one of its raw values
-    is below its :func:`_lost_limit`, an exact integer form of
-    :func:`_holds_node_zero`; only lost blocks' raw values become uniforms.
+    estimate averages over all lost blocks of all trials.  The kernel reads
+    the stream positions documented in :mod:`limpprob.rng`.
+
+    Placement is hashed in tiles of at most _CHUNK_ELEMS >> 4 raw values, into
+    two buffers made once per trial range: whole trials per tile, or one larger
+    trial in block chunks.  A block is lost when one of its raw values is below
+    its :func:`_lost_limit`, an exact integer form of :func:`_holds_node_zero`.
+    The rest runs in stages of whole trials that expect about _CHUNK_ELEMS >> 7
+    lost blocks in all, and at most _CHUNK_ELEMS // n trials, so that a
+    stage's trials x nodes table fits the memory budget.  A lost triple holds
+    node 0, so its live holders are the sum of its indices less their maximum,
+    and that maximum.  The destination is node 1 iff the rank is 0 and node 1
+    holds no copy, so the coin is read only for tasks bound for node 1.
     b_total is capped at _CHUNK_ELEMS // 3 = 349,525 so that one trial's
-    lost-block arrays fit the memory budget.
+    lost-block arrays fit the memory budget, and n at _CHUNK_ELEMS.
     """
     if not isinstance(n, int) or n < 5:
         raise InvalidParamsError(f"protocol trials need an integer n >= 5, got {n!r}")
+    if n > _CHUNK_ELEMS:
+        raise InvalidParamsError(f"protocol trials take at most {_CHUNK_ELEMS} nodes, got {n}")
     if not isinstance(b_total, int) or b_total < 1:
         raise InvalidParamsError(f"need at least 1 block, got {b_total!r}")
     if 3 * b_total > _CHUNK_ELEMS:
         raise InvalidParamsError(f"protocol trials place at most {_CHUNK_ELEMS // 3} blocks, got {b_total}")
     _check_trials(trials)
+    # whole trials per stage: about _CHUNK_ELEMS >> 7 expected lost blocks, 3 * b_total / n per trial
+    stage = max(1, min(_CHUNK_ELEMS // n, (_CHUNK_ELEMS >> 7) * n // (3 * b_total)))
     budget = _CHUNK_ELEMS >> 4  # placement hashes per tile
-    rows = max(1, budget // (3 * b_total))  # whole trials per batch
+    rows = max(1, min(stage, budget // (3 * b_total)))  # whole trials per tile
     cols = min(b_total, max(1, budget // 3))  # blocks per tile, below b_total only when rows == 1
     limits = [np.uint64(_lost_limit(k)) for k in (n, n - 1, n - 2)]
     # replica c of block j sits at stream position 3j + c; stored column-major
@@ -150,49 +148,54 @@ def run_protocol_trials(
         size = 3 * min(rows, stop - start) * cols
         raw_buf, scratch_buf = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
         node_hits = cluster_hits = block_hits = lost_total = any_hits = 0
-        for lo in range(start, stop, rows):
-            states = trial_states_np(master_seed, np.arange(lo, min(stop, lo + rows), dtype=np.int64))
-            # placement: a block is lost when a raw replica index is 0 (node 0);
-            # only lost blocks get a sorted triple
+        for lo in range(start, stop, stage):
+            states = trial_states_np(master_seed, np.arange(lo, min(stop, lo + stage), dtype=np.int64))
+            # placement: a block is lost when a raw replica index is 0 (node 0)
             trial_parts, raw_parts = [], []
-            for first in range(0, b_total, cols):
-                shape = (3, states.size, min(cols, b_total - first))
-                used = shape[0] * shape[1] * shape[2]
-                raws = raws_into(
-                    raw_buf[:used].reshape(shape),
-                    advance_np(states, 3 * first)[:, None],
-                    steps[..., : shape[2]],
-                    scratch_buf[:used].reshape(shape),
-                )
-                lost = (raws[0] < limits[0]) | (raws[1] < limits[1]) | (raws[2] < limits[2])
-                trial, block = np.nonzero(lost)
-                trial_parts.append(trial)
-                raw_parts.append(raws[:, trial, block])
+            for row in range(0, states.size, rows):
+                tile_states = states[row : row + rows]
+                for first in range(0, b_total, cols):
+                    shape = (3, tile_states.size, min(cols, b_total - first))
+                    used = shape[0] * shape[1] * shape[2]
+                    raws = raws_into(
+                        raw_buf[:used].reshape(shape),
+                        advance_np(tile_states, 3 * first)[:, None],
+                        steps[..., : shape[2]],
+                        scratch_buf[:used].reshape(shape),
+                    ).reshape(3, -1)
+                    lost = np.flatnonzero((raws[0] < limits[0]) | (raws[1] < limits[1]) | (raws[2] < limits[2]))
+                    trial_parts.append(lost // shape[2] + row)
+                    raw_parts.append(raws[:, lost])
             trial = np.concatenate(trial_parts)  # trial, then block-id order
-            u = to_uniforms(np.concatenate(raw_parts, axis=1)).T
-            holders = _distinct_triples(u, n)[:, 1:]  # node 0 sorts first
-            # plan: the k-th lost block of a trial reads 3*b_total + 2k and + 1
+            u = to_uniforms(np.concatenate(raw_parts, axis=1))
+            i1, i2, i3 = to_index(u[0], n), to_index(u[1], n - 1), to_index(u[2], n - 2)
+            i2 += i2 >= i1
+            low, high = np.minimum(i1, i2), np.maximum(i1, i2)
+            i3 += i3 >= low
+            i3 += i3 >= high
+            np.maximum(high, i3, out=high)
+            mid = i1 + i2 + i3 - high  # the holders mid < high; node 0 is the third index
+            # plan: the k-th lost block of a trial reads 3*b_total + 2k (coin) and + 1 (rank);
+            # rank 0 picks node 1 unless node 1 holds a copy, and then mid == 1
             per_trial = np.bincount(trial, minlength=states.size)
-            k = np.arange(trial.size) - np.repeat(np.cumsum(per_trial) - per_trial, per_trial)
-            positions = (3 * b_total + 2 * k)[:, None].astype(np.uint64) + np.arange(2, dtype=np.uint64)
-            plan = uniforms_np(states[trial][:, None], positions)
-            sources = np.where(plan[:, 0] < 0.5, holders[:, 0], holders[:, 1])
-            dests = to_index(plan[:, 1], n - 3) + 1  # rank among the nodes that hold no copy
-            for col in range(2):
-                dests += dests >= holders[:, col]
-            # classify: a good node is degraded by >= 2 of its tasks bound for node 1
-            to_slow = dests == 1
-            slow_tasks = np.bincount(trial[to_slow] * n + sources[to_slow], minlength=states.size * n)
-            degraded = slow_tasks.reshape(states.size, n) >= 2
-            degraded[:, :2] = False
-            per_trial_degraded = degraded.sum(axis=1)
+            k = np.arange(trial.size) - (np.cumsum(per_trial) - per_trial)[trial]
+            ranks = (3 * b_total + 1 + 2 * k).astype(np.uint64)
+            lost_states = states[trial]
+            to_slow = np.flatnonzero((uniforms_np(lost_states, ranks) * (n - 3) < 1.0) & (mid != 1))
+            heads = uniforms_np(lost_states[to_slow], ranks[to_slow] - np.uint64(1)) < 0.5
+            sources = np.where(heads, mid[to_slow], high[to_slow])
+            # classify: a good node is degraded by >= 2 of its tasks bound for node 1;
+            # nodes 0 and 1 source none of those, so their cells stay 0
+            base = trial * n
+            degraded = np.bincount(base[to_slow] + sources, minlength=states.size * n) >= 2
+            per_trial_degraded = degraded.reshape(states.size, n).sum(axis=1)
             node_hits += int(per_trial_degraded.sum())
-            cluster_hits += int((per_trial_degraded == n - 2).sum())
+            cluster_hits += int(np.count_nonzero(per_trial_degraded == n - 2))
             # a lost block is degraded when each live holder is the slow node or degraded
-            degraded[:, 1] = True
-            hit = degraded[trial, holders[:, 0]] & degraded[trial, holders[:, 1]]
-            block_hits += int(hit.sum())
-            any_hits += np.unique(trial[hit]).size
+            degraded[1::n] = True
+            hit = degraded[base + mid] & degraded[base + high]
+            block_hits += int(np.count_nonzero(hit))
+            any_hits += int(np.count_nonzero(np.bincount(trial[hit])))
             lost_total += trial.size
         return [node_hits, cluster_hits, block_hits, lost_total, any_hits]
 

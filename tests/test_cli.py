@@ -22,10 +22,14 @@ def _run(capsys, *argv):
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports limpprob from this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def _python(cwd, code: str, *args: str) -> subprocess.CompletedProcess:
     """Run `code` in a fresh interpreter that imports limpprob from this checkout."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=_child_env(), capture_output=True, text=True)
 
 
 def _read_rows(path):
@@ -208,6 +212,15 @@ class TestCompare:
         )
         assert code == 2
         assert "place at most" in err
+
+    def test_oversized_cluster_is_usage_error(self, capsys):
+        # the protocol kernel's trials x nodes table would outgrow the memory budget
+        code, _, err = _run(
+            capsys, "compare", "--sim", "protocol", "--protocol", "regen-node", "--nodes", str(2**20 + 1),
+            "--blocks", "0", "--trials", "1",
+        )
+        assert code == 2
+        assert f"take at most {2**20} nodes" in err
 
     def test_point_without_observations_fails(self, capsys):
         # 33 blocks on 100 nodes: at seed 0 the one trial loses no block, so
@@ -600,6 +613,27 @@ class TestBoundedMemory:
             peak_kib.append(int(proc.stdout.split()[-1]))
         # holding every row grows the peak by about 45 MB over these 98,000 rows
         assert peak_kib[1] - peak_kib[0] < 10 * 1024
+
+    def test_peak_rss_flat_in_node_range_length(self, tmp_path):
+        # the same 1,000,000 rows from a 1,000,000-value node range and from 10,000 nodes x 100 requests;
+        # the two sweeps run side by side, each in its own directory
+        runs = {"range": ("10..1000009", "1"), "grid": ("10..10009", ",".join(str(r) for r in range(1, 101)))}
+        procs = {}
+        for name, (nodes, requests) in runs.items():
+            (tmp_path / name).mkdir()
+            procs[name] = subprocess.Popen(
+                [sys.executable, "-c", _PEAK_RSS_CHILD, "sweep", "--protocol", "read", "--mode", "analytic",
+                 "--nodes", nodes, "--requests", requests, "--out", "x.csv"],
+                cwd=tmp_path / name, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+        peak_kib = {}
+        for name, proc in procs.items():
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            assert "wrote 1000000 rows" in out
+            peak_kib[name] = int(out.split()[-1])
+        # a range expanded into a list, plus its sorted copy, grows the peak by about 46 MB
+        assert peak_kib["range"] - peak_kib["grid"] < 5 * 1024
 
 
 # Runs each argv through main() in one interpreter; argv[1] == "blocked" makes `import numpy` fail.

@@ -1,6 +1,6 @@
 """One simulated protocol trial: its placement and its regeneration plan.
 
-The placement law is :func:`limpprob.trials._distinct_triples`; the plan is
+The placement law is ``_distinct_triples`` in test_trials.py; the plan is
 the per-trial replay ``_regen_plan`` in test_trials.py, which the protocol
 kernel must match count for count.
 """
@@ -17,8 +17,7 @@ from limpprob import (
     run_protocol_trials,
 )
 from limpprob.rng import TrialStream
-from limpprob.trials import _distinct_triples
-from test_trials import _regen_plan
+from test_trials import _distinct_triples, _regen_plan
 
 
 def _placement(n, b_total, stream):

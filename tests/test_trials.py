@@ -32,10 +32,25 @@ from limpprob import (
     trials,
 )
 from limpprob.rng import TrialStream, stream_uniform, to_index, to_uniforms, trial_state, trial_states_np, uniforms_np
-from limpprob.trials import _distinct_triples, _lost_limit, _node_target, _partition
+from limpprob.trials import _lost_limit, _node_target, _partition
 
 NODE_10_90 = 0.36110217217355966568
 CLUSTER_10_500 = 0.95789415572912219584
+
+
+def _distinct_triples(u, n):
+    """Map a (k, 3) uniform block to k sorted uniform 3-subsets of range(n): the placement law.
+
+    The reference the protocol kernel's sort-free lost-block holders and the
+    rw sampler's :func:`limpprob.trials._holds_node_zero` must agree with.
+    """
+    i1 = to_index(u[:, 0], n)
+    i2 = to_index(u[:, 1], n - 1)
+    i2 += i2 >= i1
+    i3 = to_index(u[:, 2], n - 2)
+    i3 += i3 >= np.minimum(i1, i2)
+    i3 += i3 >= np.maximum(i1, i2)
+    return np.sort(np.stack([i1, i2, i3], axis=1), axis=1)
 
 
 class TestLazySamplers:
@@ -367,16 +382,28 @@ class TestAssumptionTrials:
             assert 0.0 <= summary.ci_low <= summary.point_estimate <= summary.ci_high <= 1.0
 
 
+def _assert_protocol_replay(points, workers=1):
+    for n, b_total, count in points:
+        est = run_protocol_trials(n, b_total, count, master_seed=19, workers=workers)
+        got = {metric: (summary.successes, summary.trials) for metric, summary in est.items()}
+        assert got == _protocol_reference(n, b_total, count, 19), (n, b_total, count)
+
+
 class TestProtocolTrials:
     def test_matches_single_trial_loop(self):
-        over_batch = (trials._CHUNK_ELEMS >> 4) // 3 + 1  # one trial is larger than a batch
+        over_batch = (trials._CHUNK_ELEMS >> 4) // 3 + 1  # one trial is larger than a tile
         # (5, 60): about half the trials have a degraded cluster, so the cluster
         # and block predicates are tested away from all-or-nothing outcomes
-        for n, b_total, count in ((5, 7, 300), (10, 1, 300), (10, 300, 300), (30, 2900, 100),
-                                  (50, 40833, 10), (10, over_batch, 10), (5, 60, 300)):
-            est = run_protocol_trials(n, b_total, count, master_seed=19)
-            got = {metric: (summary.successes, summary.trials) for metric, summary in est.items()}
-            assert got == _protocol_reference(n, b_total, count, 19), (n, b_total)
+        _assert_protocol_replay(((5, 7, 300), (10, 1, 300), (10, 300, 300), (30, 2900, 100),
+                                 (50, 40833, 10), (10, over_batch, 10), (5, 60, 300)))
+        # a stage holds 910 trials at (10, 30), so every worker's trial range ends mid-stage
+        _assert_protocol_replay([(10, 30, 1000)], workers=3)
+
+    def test_matches_single_trial_loop_at_a_small_budget(self, monkeypatch):
+        # 64 hashes per tile: a trial of 40 or more blocks spans several tiles, 2 of them in each
+        # stage at (30, 40) and (50, 60); at (30, 5) a stage holds 4 tiles of 4 trials each
+        monkeypatch.setattr(trials, "_CHUNK_ELEMS", 1 << 10)
+        _assert_protocol_replay(((30, 40, 100), (50, 60, 100), (30, 5, 300), (5, 1, 300), (10, 300, 20)))
 
     @given(
         n=st.integers(min_value=5, max_value=12),
@@ -444,3 +471,5 @@ class TestProtocolTrials:
             run_protocol_trials(10, 10, 0, master_seed=0)
         with pytest.raises(InvalidParamsError, match="place at most"):
             run_protocol_trials(10, trials._CHUNK_ELEMS // 3 + 1, 1, master_seed=0)
+        with pytest.raises(InvalidParamsError, match="take at most"):
+            run_protocol_trials(trials._CHUNK_ELEMS + 1, 1, 1, master_seed=0)
