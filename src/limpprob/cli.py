@@ -18,8 +18,14 @@ grid keys into int lists, as ``--show-config`` prints them, or a node range
 into a ``range``: a node range holds at most 1,000,000 values and a grid value
 is at most 2**53.
 
-Only a sampler run imports numpy (through :mod:`limpprob.trials`), so ``model``,
-``--mode analytic``, ``--show-config``, ``--help`` and usage errors start without it.
+Every command reaches each mechanism one way: closed forms through the
+``_ANALYTIC`` table, samplers through ``_estimates`` (``compare`` and the
+regeneration panels of ``figures`` memoise it, because their points repeat;
+elsewhere no estimate outlives its row), and CSV rows through ``_point_rows``.
+``main`` ignores ``LowLoadWarning`` once around the handler, since grids reach low
+loads on purpose, and restores the warning filters on return.  Only a sampler run
+imports numpy (through :mod:`limpprob.trials`), so ``model``, ``--mode analytic``,
+``--show-config``, ``--help`` and usage errors start without it.
 
 Exit codes: 0 success, 1 comparison failure (beyond tolerance or no
 observations), 2 usage/config error.
@@ -110,12 +116,15 @@ def _breakdown(n: int, b: int) -> model.BlockDegradeBreakdown:
     return model.block_degrade_breakdown(RegenParams(n, b))
 
 
-# metric -> closed form of (n, v), where v is r or b depending on the metric
+# name -> closed form of (n, v), where v is r or b depending on the name: every CSV metric, and the
+# regeneration load and slow-destination probability that `model` also prints
 _ANALYTIC = {
     "read_degrade": lambda n, r: model.read_degrade_prob(ClusterParams(n)),
     "read_user_degrade": lambda n, r: model.read_user_degrade_prob(ClusterParams(n), WorkloadParams(r)),
     "write_degrade": lambda n, r: model.write_degrade_prob(ClusterParams(n)),
     "write_user_degrade": lambda n, r: model.write_user_degrade_prob(ClusterParams(n), WorkloadParams(r)),
+    "regen_load": lambda n, b: model.regen_load(RegenParams(n, b)),
+    "slow_dest_prob": lambda n, b: model.slow_dest_prob(RegenParams(n, b)),
     NODE_DEGRADE: lambda n, b: model.node_degrade_prob(RegenParams(n, b)),
     CLUSTER_DEGRADE: lambda n, b: model.cluster_degrade_prob(RegenParams(n, b)),
     BLOCK_DEGRADE: lambda n, b: _breakdown(n, b).total,
@@ -125,52 +134,34 @@ _ANALYTIC = {
 }
 
 
-def analytic_value(metric: str, n: int, v: int | None) -> float:
-    """Evaluate one analytic metric; v is r or b depending on the metric."""
-    if metric not in _ANALYTIC:
-        raise InvalidParamsError(f"unknown metric {metric!r}")
-    with warnings.catch_warnings():
-        # sweeps intentionally cover low-load regimes; the API-level warning
-        # stays for programmatic users
-        warnings.simplefilter("ignore", LowLoadWarning)
-        return _ANALYTIC[metric](n, v)
-
-
 def _regen_b_total(n: int, b: int) -> int:
     """Cluster-wide block count whose crashed node holds b blocks on average."""
     return max(1, round(b * n / 3))
 
 
-class _SimCache:
-    """Deduplicates simulation runs within one command invocation."""
+def _estimates(cfg: dict, protocol: str, n: int, v: int) -> dict[str, EstimateSummary]:
+    """One sampler run at a point: read and write give their headline metric, regeneration all four of its own."""
+    from . import trials  # numpy loads with the first sampler run
 
-    def __init__(self, cfg: dict):
-        self.sim = cfg["sim"]
-        self._run_args = (cfg["trials"], cfg["seed"], cfg["workers"])
-        self._runs: dict = {}
-
-    def estimate(self, protocol: str, metric: str, n: int, v: int) -> EstimateSummary:
-        rw = PROTOCOLS[protocol][0] == "r"
-        key = (protocol if rw else "regen", n, v)
-        if key not in self._runs:
-            from . import trials  # numpy loads with the first sampler run
-
-            if rw:
-                self._runs[key] = trials.run_rw_trials(protocol, n, v, *self._run_args)
-            elif self.sim == "protocol":
-                self._runs[key] = trials.run_protocol_trials(n, _regen_b_total(n, v), *self._run_args)
-            else:
-                self._runs[key] = trials.run_assumption_trials(RegenParams(n, v), *self._run_args)
-        return self._runs[key] if rw else self._runs[key][metric]
+    run_args = (cfg["trials"], cfg["seed"], cfg["workers"])
+    if PROTOCOLS[protocol][0] == "r":
+        return {PROTOCOLS[protocol][1]: trials.run_rw_trials(protocol, n, v, *run_args)}
+    if cfg["sim"] == "protocol":
+        return trials.run_protocol_trials(n, _regen_b_total(n, v), *run_args)
+    return trials.run_assumption_trials(RegenParams(n, v), *run_args)
 
 
-def _csv_line(protocol: str, n: int, v: int | None, metric: str, value: float,
-              est: EstimateSummary | None = None, seed: int | None = None) -> str:
-    """One CSV row: analytic without est (ci_low, ci_high, trials and seed left empty), else simulated."""
-    key = f"{protocol},{n},{'' if v is None else v},{metric}"
-    if est is None:
-        return f"{key},analytic,{_fmt(value)},,,,"
-    return f"{key},simulated,{_fmt(value)},{_fmt(est.ci_low)},{_fmt(est.ci_high)},{est.trials},{seed}"
+def _memoised_estimates():
+    """_estimates with a memo, for the commands whose points repeat; every regeneration protocol shares one key."""
+    runs: dict = {}
+
+    def estimates(cfg: dict, protocol: str, n: int, v: int) -> dict[str, EstimateSummary]:
+        key = (protocol if PROTOCOLS[protocol][0] == "r" else "regen", n, v)
+        if key not in runs:
+            runs[key] = _estimates(cfg, protocol, n, v)
+        return runs[key]
+
+    return estimates
 
 
 def _write_csvs(files: dict) -> dict[str, int]:
@@ -313,18 +304,21 @@ def _metrics(protocol: str):
     return _BLOCK_METRICS if protocol == "regen-block" else [PROTOCOLS[protocol][1]]
 
 
-def _point_rows(cfg: dict, cache: _SimCache, protocol: str, metrics, points):
-    """Lazily yield the CSV lines cfg["mode"] asks for at each point, in CSV order: the analytic rows by metric,
-    then the simulated row of the protocol's headline metric, the only one with a sampler."""
+def _point_rows(cfg: dict, estimates, protocol: str, metrics, points):
+    """Lazily yield the CSV lines cfg["mode"] asks for at each point, in CSV order: the analytic rows by metric
+    (ci_low, ci_high, trials and seed left empty), then the simulated row of the protocol's headline metric, the
+    only one with a sampler, whose estimate comes from estimates(cfg, protocol, n, v)."""
     analytic = sorted(metrics) if cfg["mode"] in ("analytic", "both") else []
     headline = PROTOCOLS[protocol][1]
     simulate = cfg["mode"] in ("simulate", "both") and headline in metrics
     for n, v in points:
+        key = f"{protocol},{n},{'' if v is None else v}"
         for metric in analytic:
-            yield _csv_line(protocol, n, v, metric, analytic_value(metric, n, v))
+            yield f"{key},{metric},analytic,{_fmt(_ANALYTIC[metric](n, v))},,,,"
         if simulate:
-            est = cache.estimate(protocol, headline, n, v)
-            yield _csv_line(protocol, n, v, headline, est.point_estimate, est, cfg["seed"])
+            est = estimates(cfg, protocol, n, v)[headline]
+            yield (f"{key},{headline},simulated,{_fmt(est.point_estimate)},{_fmt(est.ci_low)},{_fmt(est.ci_high)},"
+                   f"{est.trials},{cfg['seed']}")
 
 
 def cmd_model(cfg: dict) -> int:
@@ -333,15 +327,14 @@ def cmd_model(cfg: dict) -> int:
         raise InvalidParamsError("model needs exactly one --nodes value")
     n = cfg["nodes"][0]
     kind = PROTOCOLS[protocol][0]
-    metrics = _metrics(protocol)
+    # (v, its metrics): read and write open with the per-request probability at v = None, and every
+    # regeneration b starts with its load and slow-destination probability
+    walk = [(None, [f"{protocol}_degrade"])] if kind == "r" else []
+    head = ["regen_load", "slow_dest_prob"] if kind == "b" else []
+    walk += [(v, [*head, *_metrics(protocol)]) for _, v in _grid(cfg, protocol)]
     # every line is computed before any is printed, so an error leaves stdout empty
-    lines = [f"{protocol}_degrade = {_fmt(analytic_value(f'{protocol}_degrade', n, None))}"] if kind == "r" else []
-    for _, v in _grid(cfg, protocol):
-        if kind == "b":
-            regen = RegenParams(n, v)
-            lines += [f"regen_load[b={v}] = {_fmt(model.regen_load(regen))}",
-                      f"slow_dest_prob[b={v}] = {_fmt(model.slow_dest_prob(regen))}"]
-        lines += [f"{metric}[{kind}={v}] = {_fmt(analytic_value(metric, n, v))}" for metric in metrics]
+    lines = [f"{metric}{'' if v is None else f'[{kind}={v}]'} = {_fmt(_ANALYTIC[metric](n, v))}"
+             for v, metrics in walk for metric in metrics]
     print("\n".join(lines))
     return 0
 
@@ -350,7 +343,8 @@ def cmd_sweep(cfg: dict) -> int:
     protocol = _check_protocol(cfg["protocol"])
     if not cfg["out"]:
         raise InvalidParamsError("sweep needs --out PATH")
-    rows = _point_rows(cfg, _SimCache(cfg), protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol))
+    # the walk never repeats a point, so each estimate is dropped once its row is written
+    rows = _point_rows(cfg, _estimates, protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol))
     counts = _write_csvs({cfg["out"]: rows})
     print(f"wrote {counts[cfg['out']]} rows to {cfg['out']}")
     return 0
@@ -373,17 +367,15 @@ def _compare_protocols(cfg: dict) -> list[str]:
 
 def cmd_compare(cfg: dict) -> int:
     protocols = _compare_protocols(cfg)
-    cache = _SimCache(cfg)
+    estimates = _memoised_estimates()
     tolerance = cfg["tolerance"]
-    # protocol -> its points' CSV line pairs; every point costs a sampler run, so holding them is cheap
-    rows: dict[str, list[str]] = {protocol: [] for protocol in protocols}
     lines: list[str] = []
     failures = beyond = 0
     for protocol in protocols:
         metric = PROTOCOLS[protocol][1]
         for n, v in _grid(cfg, protocol):
-            analytic = analytic_value(metric, n, v)
-            est = cache.estimate(protocol, metric, n, v)
+            analytic = _ANALYTIC[metric](n, v)
+            est = estimates(cfg, protocol, n, v)[metric]
             gap = abs(analytic - est.point_estimate)
             if est.trials == 0:
                 # nothing was observed (e.g. no block was lost), so the [0, 1] CI proves nothing
@@ -396,8 +388,6 @@ def cmd_compare(cfg: dict) -> int:
                 f"{protocol:<16}{n:>5}{v:>8}  {metric:<20}{analytic:>12.6g}{est.point_estimate:>12.6g}"
                 f"{gap:>10.2g}  {status}"
             )
-            rows[protocol] += (_csv_line(protocol, n, v, metric, analytic),
-                               _csv_line(protocol, n, v, metric, est.point_estimate, est, cfg["seed"]))
     header = f"{'protocol':<16}{'n':>5}{'r_or_b':>8}  {'metric':<20}{'analytic':>12}{'estimate':>12}{'gap':>10}  status"
     print("\n".join([header, "-" * len(header), *lines]))
     verdict = "all within tolerance" if beyond == 0 else f"{beyond} point(s) beyond tolerance"
@@ -405,7 +395,11 @@ def cmd_compare(cfg: dict) -> int:
         verdict = f"{failures - beyond} point(s) without observations, {verdict}"
     print(f"compare: {len(lines) - failures}/{len(lines)} ok ({verdict} {tolerance:g}, sim={cfg['sim']}, trials={cfg['trials']})")
     if cfg["out"]:
-        counts = _write_csvs({cfg["out"]: (line for protocol in sorted(rows) for line in rows[protocol])})
+        # the CSV holds both rows of every table point; the memo serves the estimates the table read
+        both = {**cfg, "mode": "both"}
+        rows = (row for protocol in sorted(protocols)
+                for row in _point_rows(both, estimates, protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol)))
+        counts = _write_csvs({cfg["out"]: rows})
         print(f"wrote {counts[cfg['out']]} rows to {cfg['out']}")
     return 1 if failures else 0
 
@@ -417,20 +411,21 @@ def _figure_points(cfg: dict):
 
 
 def _figure_panels(cfg: dict) -> dict:
-    """Every panel of cfg's figures as a lazy walk of its rows, all under one sampler cache."""
-    cache = _SimCache(cfg)
+    """Every panel of cfg's figures as a lazy walk of its rows; the regeneration panels share one sampler memo,
+    while a read or write point occurs in one panel only and keeps no estimate."""
+    estimates = _memoised_estimates()
     panels = {}
     for figure in _FIGURES if cfg["figure"] in (None, "all") else [cfg["figure"]]:
         if figure in ("read", "write"):
             requests = {*cfg["requests"], _WRITE_R_ANCHOR} if figure == "write" else cfg["requests"]
             nodes = ((n, None) for n in _ascending(cfg["nodes"]))
-            panels[f"{figure}_request_prob"] = _point_rows(cfg, cache, figure, [f"{figure}_degrade"], nodes)
-            user_points = _grid({**cfg, "requests": requests}, figure)
-            panels[f"{figure}_user_prob"] = _point_rows(cfg, cache, figure, [f"{figure}_user_degrade"], user_points)
+            panels[f"{figure}_request_prob"] = _point_rows(cfg, _estimates, figure, [f"{figure}_degrade"], nodes)
+            points = _grid({**cfg, "requests": requests}, figure)
+            panels[f"{figure}_user_prob"] = _point_rows(cfg, _estimates, figure, [f"{figure}_user_degrade"], points)
             continue
         for protocol in _REGEN_FIGURES[figure]:
             points = _figure_points(cfg)
-            panels[f"{PROTOCOLS[protocol][1]}_prob"] = _point_rows(cfg, cache, protocol, _metrics(protocol), points)
+            panels[f"{PROTOCOLS[protocol][1]}_prob"] = _point_rows(cfg, estimates, protocol, _metrics(protocol), points)
     return panels
 
 
@@ -493,7 +488,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.show_config:
             print(json.dumps(cfg, indent=2, sort_keys=True, default=list))  # a node range prints as its list
             return 0
-        return handler(cfg)
+        with warnings.catch_warnings():
+            # grids deliberately cover low-load points; the closed forms keep the warning for library callers
+            warnings.simplefilter("ignore", LowLoadWarning)
+            return handler(cfg)
     except InvalidParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,6 +51,10 @@ class EstimateSummary:
 
     @classmethod
     def from_counts(cls, successes: int, trials: int) -> "EstimateSummary":
+        """The estimate from successes of trials observations; zero observations (e.g. no block was ever lost)
+        give the uninformative estimate, 0 of 0 with CI [0, 1], rather than a division by zero."""
+        if trials == 0 == successes:
+            return cls(0, 0, Probability(0.0), 0.0, 1.0)
         low, high = wilson_interval(successes, trials)
         return cls(
             trials=trials,

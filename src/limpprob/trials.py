@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .model import ANY_BLOCK_DEGRADE, BLOCK_DEGRADE, CLUSTER_DEGRADE, NODE_DEGRADE, _at_least_two_hits
-from .params import ClusterParams, Probability, RegenParams, WorkloadParams
+from .params import ClusterParams, RegenParams, WorkloadParams
 from .rng import advance_np, raws_into, step_terms_np, to_index, to_uniforms, trial_states_np, uniforms_np
 from .stats import EstimateSummary
 
@@ -64,14 +64,6 @@ def _run_partitioned(counts_fn, trials: int, workers: int):
     with ThreadPoolExecutor(max_workers=len(parts)) as pool:
         results = list(pool.map(lambda p: counts_fn(*p), parts))
     return [sum(col) for col in zip(*results)]
-
-
-def _summary(successes: int, observations: int) -> EstimateSummary:
-    if observations == 0:
-        # No observations at all (e.g. no block was ever lost): report an
-        # uninformative estimate rather than dividing by zero.
-        return EstimateSummary(0, 0, Probability(0.0), 0.0, 1.0)
-    return EstimateSummary.from_counts(successes, observations)
 
 
 def _holds_node_zero(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
@@ -203,10 +195,10 @@ def run_protocol_trials(
         counts, trials, workers
     )
     return {
-        NODE_DEGRADE: _summary(node_hits, trials * (n - 2)),
-        CLUSTER_DEGRADE: _summary(cluster_hits, trials),
-        BLOCK_DEGRADE: _summary(block_hits, lost_total),
-        ANY_BLOCK_DEGRADE: _summary(any_hits, trials),
+        NODE_DEGRADE: EstimateSummary.from_counts(node_hits, trials * (n - 2)),
+        CLUSTER_DEGRADE: EstimateSummary.from_counts(cluster_hits, trials),
+        BLOCK_DEGRADE: EstimateSummary.from_counts(block_hits, lost_total),
+        ANY_BLOCK_DEGRADE: EstimateSummary.from_counts(any_hits, trials),
     }
 
 
@@ -304,10 +296,10 @@ def run_assumption_trials(
 
     node_hits, cluster_hits, block_hits, any_hits = _run_partitioned(counts, trials, workers)
     return {
-        NODE_DEGRADE: _summary(node_hits, trials * good),
-        CLUSTER_DEGRADE: _summary(cluster_hits, trials),
-        BLOCK_DEGRADE: _summary(block_hits, trials),
-        ANY_BLOCK_DEGRADE: _summary(any_hits, trials),
+        NODE_DEGRADE: EstimateSummary.from_counts(node_hits, trials * good),
+        CLUSTER_DEGRADE: EstimateSummary.from_counts(cluster_hits, trials),
+        BLOCK_DEGRADE: EstimateSummary.from_counts(block_hits, trials),
+        ANY_BLOCK_DEGRADE: EstimateSummary.from_counts(any_hits, trials),
     }
 
 
@@ -347,4 +339,4 @@ def run_rw_trials(
         return [_count_hit_trials(master_seed, start, stop, r, 0, slots, touched)]
 
     (touched_total,) = _run_partitioned(counts, trials, workers)
-    return _summary(touched_total, trials)
+    return EstimateSummary.from_counts(touched_total, trials)

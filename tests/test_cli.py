@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limpprob import InvalidParamsError, cli, trials
-from limpprob.cli import CSV_HEADER, analytic_value, main
+from limpprob import EstimateSummary, LowLoadWarning, RegenParams, cli, model, trials
+from limpprob.cli import CSV_HEADER, main
 
 
 def _run(capsys, *argv):
@@ -65,10 +67,8 @@ class TestSweep:
             "--blocks", "90,290,3200", "--mode", "analytic", "--out", str(out),
         )
         assert code == 0
-        from limpprob.cli import analytic_value
-
         for row in _read_rows(out):
-            again = analytic_value(row[3], int(row[1]), int(row[2]))
+            again = cli._ANALYTIC[row[3]](int(row[1]), int(row[2]))
             assert f"{again:.12g}" == row[5]
 
     def test_analytic_mode_ignores_seed_and_trials(self, tmp_path, capsys):
@@ -233,6 +233,20 @@ class TestCompare:
         assert "no-observations" in out
         assert "0/1 ok" in out
 
+    def test_csv_holds_the_sweep_rows(self, tmp_path, capsys):
+        # compare and sweep write their rows through one builder: the compare CSV is the `sweep --mode both`
+        # rows of each protocol, in protocol order
+        grid = ["--nodes", "10,20", "--requests", "1,10", "--blocks", "9,90", "--trials", "200", "--seed", "3"]
+        code, _, _ = _run(capsys, "compare", "--protocol", "write,regen-node", *grid, "--out", str(tmp_path / "c.csv"))
+        assert code == 0
+        swept = []
+        for protocol in ("regen-node", "write"):
+            out = tmp_path / f"{protocol}.csv"
+            assert _run(capsys, "sweep", "--protocol", protocol, "--mode", "both", *grid, "--out", str(out))[0] == 0
+            swept += _read_rows(out)
+        assert len(swept) == 16
+        assert _read_rows(tmp_path / "c.csv") == swept
+
 
 class TestFigures:
     def test_write_figure_carries_the_40_request_anchor(self, tmp_path, capsys):
@@ -326,12 +340,6 @@ class TestFigures:
         assert (code, text) == (2, "")
         assert "place at most" in err
         assert len(temps) == 5 and list(tmp_path.iterdir()) == []
-
-
-class TestAnalyticValue:
-    def test_unknown_metric_is_invalid(self):
-        with pytest.raises(InvalidParamsError, match="nope"):
-            analytic_value("nope", 10, 1)
 
 
 class TestModelCommand:
@@ -580,6 +588,28 @@ class TestConfig:
         assert leftovers == []
 
 
+class TestLowLoadWarning:
+    # m = b / (n - 1) = 1 < 2 at (10, 9), where node_degrade_prob warns; figures' blocks include 9 at n = 10
+    @pytest.mark.parametrize("argv", [
+        ["model", "--protocol", "regen-node", "--nodes", "10", "--blocks", "9"],
+        ["sweep", "--protocol", "regen-node", "--mode", "both", "--nodes", "10", "--blocks", "9", "--trials", "20",
+         "--out", "{tmp}/s.csv"],
+        ["compare", "--protocol", "regen-node", "--nodes", "10", "--blocks", "9", "--trials", "20"],
+        ["figures", "--figure", "node-cluster", "--mode", "both", "--nodes", "10", "--trials", "20", "--out", "{tmp}"],
+    ], ids=["model", "sweep", "compare", "figures"])
+    def test_no_warning_escapes_main(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+            assert warnings.filters == filters
+            assert (code, caught) == (0, [])
+            # the closed form itself still warns its library callers
+            with pytest.warns(LowLoadWarning):
+                model.node_degrade_prob(RegenParams(10, 9))
+        capsys.readouterr()
+
+
 class TestFileMode:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_csv_mode_follows_the_umask(self, tmp_path, umask, mode):
@@ -634,6 +664,29 @@ class TestBoundedMemory:
             peak_kib[name] = int(out.split()[-1])
         # a range expanded into a list, plus its sorted copy, grows the peak by about 46 MB
         assert peak_kib["range"] - peak_kib["grid"] < 5 * 1024
+
+
+class TestNoEstimateOutlivesItsRow:
+    @pytest.mark.parametrize("argv, calls", [
+        (["sweep", "--protocol", "read", "--requests", "1", "--out", "{tmp}/x.csv"], 5000),
+        # the write panels add the 40-request anchor at every n
+        (["figures", "--figure", "write", "--requests", "1", "--out", "{tmp}"], 10000),
+    ], ids=["sweep", "figures-write"])
+    def test_at_most_one_earlier_estimate_alive(self, tmp_path, capsys, monkeypatch, argv, calls):
+        # no read or write point repeats; holding each estimate grows memory about 0.33 KB per point
+        alive = weakref.WeakValueDictionary()  # call index -> the estimate that call returned, while it lives
+        alive_before = []
+
+        def stub(protocol, n, r, trials, seed, workers):
+            alive_before.append(len(alive))
+            alive[len(alive_before)] = estimate = EstimateSummary.from_counts(1, 2)
+            return estimate
+
+        monkeypatch.setattr(trials, "run_rw_trials", stub)
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code, _, _ = _run(capsys, *argv, "--mode", "simulate", "--nodes", "10..5009", "--trials", "1")
+        assert code == 0
+        assert len(alive_before) == calls and max(alive_before) <= 1
 
 
 # Runs each argv through main() in one interpreter; argv[1] == "blocked" makes `import numpy` fail.

@@ -67,3 +67,12 @@ def test_estimate_summary_from_counts():
     assert summary.ci_low <= summary.point_estimate <= summary.ci_high
     assert summary.trials == 100 and summary.successes == 36
     assert not math.isnan(summary.ci_low)
+
+
+def test_estimate_summary_from_no_observations():
+    # e.g. protocol block_degrade when no trial lost a block: uninformative, not a division by zero
+    summary = EstimateSummary.from_counts(0, 0)
+    assert (summary.successes, summary.trials, summary.point_estimate) == (0, 0, 0.0)
+    assert (summary.ci_low, summary.ci_high) == (0.0, 1.0)
+    with pytest.raises(InvalidParamsError):
+        EstimateSummary.from_counts(1, 0)
