@@ -25,7 +25,8 @@ elsewhere no estimate outlives its row), and CSV rows through ``_point_rows``.
 ``main`` ignores ``LowLoadWarning`` once around the handler, since grids reach low
 loads on purpose, and restores the warning filters on return.  Only a sampler run
 imports numpy (through :mod:`limpprob.trials`), so ``model``, ``--mode analytic``,
-``--show-config``, ``--help`` and usage errors start without it.
+``--show-config``, ``--help`` and usage errors start without it; ``_estimates``
+sets ``OPENBLAS_NUM_THREADS=1`` first, unless it is set, since no sampler calls BLAS.
 
 Exit codes: 0 success, 1 comparison failure (beyond tolerance or no
 observations), 2 usage/config error.
@@ -100,7 +101,7 @@ _FLAGS = {
     "seed": (42, "64-bit master seed"),
     "mode": ("analytic", "analytic, simulate or both"),
     "tolerance": (0.02, "absolute gap gate"),
-    "workers": (1, "parallel trial workers, at most the CPU count (results identical)"),
+    "workers": (1, "parallel trial workers, at most one per usable CPU and 2**20 stream positions (results identical)"),
     "sim": ("assumption", "regen simulator flavor: assumption or protocol"),
     "out": (None, "output CSV path (sweep/compare) or directory (figures)"),
 }
@@ -141,7 +142,9 @@ def _regen_b_total(n: int, b: int) -> int:
 
 def _estimates(cfg: dict, protocol: str, n: int, v: int) -> dict[str, EstimateSummary]:
     """One sampler run at a point: read and write give their headline metric, regeneration all four of its own."""
-    from . import trials  # numpy loads with the first sampler run
+    # numpy loads with the first sampler run; no sampler calls BLAS, so start no OpenBLAS thread pool
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import trials
 
     run_args = (cfg["trials"], cfg["seed"], cfg["workers"])
     if PROTOCOLS[protocol][0] == "r":

@@ -18,8 +18,12 @@ Every estimate is aggregated from integer success counts whose per-trial
 randomness is counter-based (see :mod:`limpprob.rng`), so results are
 bit-identical for a given master seed regardless of chunking or worker count.
 Trials are split into contiguous index ranges when ``workers > 1``, one
-thread each and at most one per CPU, and the counts are summed, which is
-order-independent.  ``_CHUNK_ELEMS`` bounds every transient array.
+thread each, and the counts are summed, which is order-independent.
+``_CHUNK_ELEMS`` bounds every transient array and is also the unit of parallel
+work: a call splits only into ranges of at least ``_CHUNK_ELEMS`` stream
+positions each, at most one per usable CPU, so a call below two chunks runs in
+the calling thread (a smaller one cannot release the GIL long enough for a
+second thread to pay for itself).
 
 Estimates are keyed by the metric names of :mod:`limpprob.model`.  This module
 and :mod:`limpprob.rng` are the only ones that import numpy; the package root
@@ -49,16 +53,26 @@ def _check_trials(trials: int) -> None:
         raise InvalidParamsError(f"need at least 1 trial, got {trials!r}")
 
 
-def _partition(trials: int, workers: int) -> list[tuple[int, int]]:
-    """Split range(trials) into at most min(workers, CPU count) contiguous ranges."""
-    workers = max(1, min(workers, trials, os.cpu_count() or 1))
-    step = -(-trials // workers)
-    return [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
+def _partition(trials: int, workers: int, per_trial: int) -> list[tuple[int, int]]:
+    """Split range(trials) into contiguous ranges of about equal size, one per thread.
+
+    per_trial bounds the stream positions one trial reads, from the layouts of
+    :mod:`limpprob.rng`: n + 3b for the assumption sampler, 4r for reads, 3r for
+    writes, and 3*b_total placement hashes for a protocol trial, whose two
+    positions per lost block are few beside them.  Every range holds at least
+    _CHUNK_ELEMS positions, so a call below two chunks gets one range; there
+    are at most `workers` ranges, and at most one per CPU this process may run
+    on (its affinity mask where the OS has one, else the CPU count).
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    min_trials = -(-_CHUNK_ELEMS // max(1, per_trial))
+    parts = max(1, min(workers, cpus, trials // min_trials))
+    return [(-(-trials * i // parts), -(-trials * (i + 1) // parts)) for i in range(parts)]
 
 
-def _run_partitioned(counts_fn, trials: int, workers: int):
+def _run_partitioned(counts_fn, trials: int, workers: int, per_trial: int):
     """Run counts_fn over trial ranges and sum the resulting count vectors."""
-    parts = _partition(trials, workers)
+    parts = _partition(trials, workers, per_trial)
     if len(parts) == 1:
         return counts_fn(*parts[0])
     with ThreadPoolExecutor(max_workers=len(parts)) as pool:
@@ -191,9 +205,7 @@ def run_protocol_trials(
             lost_total += trial.size
         return [node_hits, cluster_hits, block_hits, lost_total, any_hits]
 
-    node_hits, cluster_hits, block_hits, lost_total, any_hits = _run_partitioned(
-        counts, trials, workers
-    )
+    node_hits, cluster_hits, block_hits, lost_total, any_hits = _run_partitioned(counts, trials, workers, 3 * b_total)
     return {
         NODE_DEGRADE: EstimateSummary.from_counts(node_hits, trials * (n - 2)),
         CLUSTER_DEGRADE: EstimateSummary.from_counts(cluster_hits, trials),
@@ -294,7 +306,7 @@ def run_assumption_trials(
         any_hits = _count_hit_trials(master_seed, start, stop, b if q > 0.0 else 0, good + 2, 3, block_degraded)
         return [node_hits, cluster_hits, block_hits, any_hits]
 
-    node_hits, cluster_hits, block_hits, any_hits = _run_partitioned(counts, trials, workers)
+    node_hits, cluster_hits, block_hits, any_hits = _run_partitioned(counts, trials, workers, n + 3 * b)
     return {
         NODE_DEGRADE: EstimateSummary.from_counts(node_hits, trials * good),
         CLUSTER_DEGRADE: EstimateSummary.from_counts(cluster_hits, trials),
@@ -338,5 +350,5 @@ def run_rw_trials(
     def counts(start: int, stop: int):
         return [_count_hit_trials(master_seed, start, stop, r, 0, slots, touched)]
 
-    (touched_total,) = _run_partitioned(counts, trials, workers)
+    (touched_total,) = _run_partitioned(counts, trials, workers, slots * r)
     return EstimateSummary.from_counts(touched_total, trials)

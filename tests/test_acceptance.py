@@ -197,7 +197,7 @@ def test_criterion_7_curve_shapes():
     _report("criterion 7 (curve shapes and normalization)", failures, started, budget_s=1.0)
 
 
-def test_criterion_8_cli_determinism(tmp_path, capsys):
+def test_criterion_8_cli_determinism(tmp_path, capsys, split_calls):
     started = time.perf_counter()
     failures = []
     sweep_args = [

@@ -79,7 +79,7 @@ class TestSweep:
         assert _run(capsys, *args, "--out", str(b), "--seed", "999", "--trials", "77")[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_simulated_sweep_deterministic_across_workers(self, tmp_path, capsys):
+    def test_simulated_sweep_deterministic_across_workers(self, tmp_path, capsys, split_calls):
         args = ["sweep", "--protocol", "regen-node", "--nodes", "10", "--blocks", "90",
                 "--mode", "both", "--trials", "5000", "--seed", "31"]
         a, b = tmp_path / "w1.csv", tmp_path / "w3.csv"
@@ -617,6 +617,45 @@ class TestFileMode:
         proc = _python(tmp_path, code, oct(umask), "sweep", "--protocol", "read", "--nodes", "10", "--out", "x.csv")
         assert proc.returncode == 0, proc.stderr
         assert os.stat(tmp_path / "x.csv").st_mode & 0o777 == mode
+
+
+# The child's thread count once main has returned, and the OpenBLAS thread limit it ran under.
+_THREADS_CHILD = """
+import os, sys
+from limpprob.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("Threads:")), os.environ["OPENBLAS_NUM_THREADS"])
+sys.exit(code)
+"""
+
+
+class TestThreads:
+    def test_small_calls_start_no_thread(self, tmp_path, capsys, monkeypatch):
+        # no sampler call of this run holds two chunks of stream positions, so none splits
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a sampler call started worker threads")
+
+        monkeypatch.setattr(trials, "ThreadPoolExecutor", no_threads)
+        code, _, err = _run(capsys, "figures", "--mode", "both", "--workers", "2", "--trials", "100",
+                            "--nodes", "10,20", "--out", str(tmp_path / "figs"))
+        assert code == 0, err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Threads from /proc/self/status")
+    @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset-2"])
+    def test_sampler_run_starts_no_blas_pool(self, tmp_path, preset):
+        env = {key: value for key, value in _child_env().items() if key != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        argv = ["compare", "--protocol", "regen-node", "--nodes", "10", "--trials", "10"]
+        proc = subprocess.run([sys.executable, "-c", _THREADS_CHILD, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        threads, limit = proc.stdout.splitlines()[-1].split()
+        # a user's own limit is kept; otherwise numpy loads with one OpenBLAS thread, the main one
+        assert limit == (preset or "1")
+        if preset is None:
+            assert threads == "1"
 
 
 # The child's own peak RSS: ru_maxrss would keep the forking pytest process's peak across exec, VmHWM does not.

@@ -66,11 +66,37 @@ class TestLazySamplers:
 
 class TestPartition:
     def test_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert _partition(100_000, 100_000) == [(0, 50_000), (50_000, 100_000)]
-        assert _partition(10, 1) == [(0, 10)]
+        chunk = trials._CHUNK_ELEMS  # a trial of one chunk may run in a range of its own
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert _partition(100_000, 100_000, chunk) == [(0, 50_000), (50_000, 100_000)]
+        assert _partition(10, 1, chunk) == [(0, 10)]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _partition(10, 100, chunk) == [(0, 4), (4, 7), (7, 10)]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _partition(100_000, 100_000) == [(0, 100_000)]
+        assert _partition(100_000, 100_000, chunk) == [(0, 100_000)]
+
+    def test_counts_only_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # as under `taskset -c 0`: the host has 8 CPUs, the process may use one
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _partition(100_000, 2, trials._CHUNK_ELEMS) == [(0, 100_000)]
+
+    @pytest.mark.parametrize("chunks, want", [
+        (1, [(0, 8)]),
+        (2, [(0, 8), (8, 16)]),
+        (3, [(0, 8), (8, 16), (16, 24)]),
+    ])
+    def test_one_range_per_chunk_of_work(self, monkeypatch, chunks, want):
+        # 8 trials of an eighth of a chunk each make one chunk of stream positions
+        per_trial = trials._CHUNK_ELEMS // 8
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert _partition(8 * chunks, 4, per_trial) == want
+        # a trial short of `chunks` chunks leaves one range fewer, each still a chunk or more
+        short = _partition(8 * chunks - 1, 4, per_trial)
+        assert len(short) == max(1, chunks - 1)
+        assert short[0][0] == 0 and short[-1][1] == 8 * chunks - 1
+        assert chunks == 1 or min(hi - lo for lo, hi in short) >= 8
 
 
 def _rw_reference(protocol, n, r, count, seed):
@@ -314,7 +340,7 @@ class TestRwTrials:
             assert est.point_estimate == 0.0
             assert est.successes == 0
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_and_worker_invariant(self, split_calls):
         one = run_rw_trials("read", 10, 5, 20_000, master_seed=3, workers=1)
         two = run_rw_trials("read", 10, 5, 20_000, master_seed=3, workers=4)
         assert one == two
@@ -358,7 +384,7 @@ class TestAssumptionTrials:
         for summary in est.values():
             assert summary.point_estimate == 0.0
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_and_worker_invariant(self, split_calls):
         one = run_assumption_trials(RegenParams(10, 90), 20_000, master_seed=9, workers=1)
         three = run_assumption_trials(RegenParams(10, 90), 20_000, master_seed=9, workers=3)
         assert one == three
@@ -396,7 +422,10 @@ class TestProtocolTrials:
         # and block predicates are tested away from all-or-nothing outcomes
         _assert_protocol_replay(((5, 7, 300), (10, 1, 300), (10, 300, 300), (30, 2900, 100),
                                  (50, 40833, 10), (10, over_batch, 10), (5, 60, 300)))
-        # a stage holds 910 trials at (10, 30), so every worker's trial range ends mid-stage
+
+    def test_matches_single_trial_loop_over_three_workers(self, split_calls):
+        # at a 4,096-position budget a stage holds 3 trials at (10, 30), and the
+        # ranges hold 334, 333 and 333 trials, so the first two end mid-stage
         _assert_protocol_replay([(10, 30, 1000)], workers=3)
 
     def test_matches_single_trial_loop_at_a_small_budget(self, monkeypatch):
@@ -446,7 +475,7 @@ class TestProtocolTrials:
         two = run_protocol_trials(10, 300, 1, master_seed=77)
         assert one == two
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, split_calls):
         one = run_protocol_trials(10, 300, 400, master_seed=13, workers=1)
         four = run_protocol_trials(10, 300, 400, master_seed=13, workers=4)
         assert one == four
