@@ -29,20 +29,27 @@ from .model import (
     write_degrade_prob,
     write_user_degrade_prob,
 )
-from .oracle import enum_read_prob, enum_slow_dest_prob, enum_write_prob
 from .params import ClusterParams, Probability, RegenParams, WorkloadParams
 from .stats import EstimateSummary, wilson_interval
 
-# The samplers need numpy; they load on first access (PEP 562), so the closed
-# forms import without it.
-_SAMPLERS = ("run_assumption_trials", "run_protocol_trials", "run_rw_trials")
+# Modules that load on first access (PEP 562): the samplers need numpy, and the
+# exact enumerations need fractions and decimal, so the closed forms import
+# without either.
+_LAZY = {
+    "run_assumption_trials": "trials",
+    "run_protocol_trials": "trials",
+    "run_rw_trials": "trials",
+    "enum_read_prob": "oracle",
+    "enum_slow_dest_prob": "oracle",
+    "enum_write_prob": "oracle",
+}
 
 
 def __getattr__(name: str):
-    if name in _SAMPLERS:
-        from . import trials
+    if name in _LAZY:
+        import importlib
 
-        return getattr(trials, name)
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

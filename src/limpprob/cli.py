@@ -19,14 +19,20 @@ into a ``range``: a node range holds at most 1,000,000 values and a grid value
 is at most 2**53.
 
 Every command reaches each mechanism one way: closed forms through the
-``_ANALYTIC`` table, samplers through ``_estimates`` (``compare`` and the
-regeneration panels of ``figures`` memoise it, because their points repeat;
-elsewhere no estimate outlives its row), and CSV rows through ``_point_rows``.
-``main`` ignores ``LowLoadWarning`` once around the handler, since grids reach low
-loads on purpose, and restores the warning filters on return.  Only a sampler run
-imports numpy (through :mod:`limpprob.trials`), so ``model``, ``--mode analytic``,
-``--show-config``, ``--help`` and usage errors start without it; ``_estimates``
-sets ``OPENBLAS_NUM_THREADS=1`` first, unless it is set, since no sampler calls BLAS.
+``_ANALYTIC`` table, samplers through ``_estimates`` (``compare`` memoises it,
+because its points repeat; the regeneration panels of ``figures`` share one run
+per point; elsewhere no estimate outlives its row), and CSV rows through
+``_point_rows``.  ``main`` ignores ``LowLoadWarning`` once around the handler,
+since grids reach low loads on purpose, and restores the warning filters on return.
+
+A process imports only what its command runs.  Only a sampler run imports numpy
+(through :mod:`limpprob.trials`), and ``_estimates`` sets
+``OPENBLAS_NUM_THREADS=1`` first, unless it is set, since no sampler calls BLAS;
+json loads only to read ``--config`` or print ``--show-config``; the package root
+loads :mod:`limpprob.oracle` (fractions, decimal) on first use; and the records
+are :class:`limpprob.params.Record` subclasses, not dataclasses.  So ``model``,
+``--mode analytic`` and ``--help`` start without numpy, ``dataclasses``,
+``inspect``, ``fractions``, ``decimal`` or ``json``.
 
 Exit codes: 0 success, 1 comparison failure (beyond tolerance or no
 observations), 2 usage/config error.
@@ -38,8 +44,9 @@ CSV schema (exact column order)::
 Analytic rows leave ci_low/ci_high/trials/seed empty; values carry 12
 significant digits; rows come in (protocol, n, r_or_b, source, metric) order
 because each command walks its grid in that order (``_grid``, also for ``model``
-and the ``compare`` table).  ``_write_csvs`` streams them into temp files and
-renames those only once all are complete: flat memory, and no file on error.
+and the ``compare`` table).  ``_write_csvs`` streams one walk of (path, row) pairs
+into a temp file per path and renames those only once the walk is complete: flat
+memory, and no file on error.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ from __future__ import annotations
 import argparse
 import heapq
 import itertools
-import json
 import os
 import sys
 import tempfile
@@ -167,33 +173,42 @@ def _memoised_estimates():
     return estimates
 
 
-def _write_csvs(files: dict) -> dict[str, int]:
-    """Stream each path's rows into a temp file beside it and rename them all once the last one is complete;
-    an error unlinks every temp file.  Returns each path's row count."""
+def _write_csvs(paths: list[str], lines) -> dict[str, int]:
+    """Stream the (path, row) pairs of lines into one temp file beside each of paths, and rename them all once
+    the stream ends; an error unlinks every temp file.  Returns each path's row count."""
     umask = os.umask(0)  # os.umask only reads by setting; the CLI writes from one thread
     os.umask(umask)
     temps: list[str] = []
-    counts: dict[str, int] = {}
+    handles: dict = {}
+    counts = dict.fromkeys(paths, 0)
     try:
-        for path, rows in files.items():
+        for path in paths:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".limpprob-", suffix=".tmp")
             temps.append(tmp)
-            with os.fdopen(fd, "w", newline="") as handle:
-                # mkstemp makes the file 0600; give it the mode open() would have
-                os.chmod(tmp, 0o666 & ~umask)
-                handle.write(f"{CSV_COMMENT}\n{CSV_HEADER}\n")
-                count = 0
-                for count, row in enumerate(rows, 1):
-                    handle.write(f"{row}\n")
-            counts[path] = count
-        for tmp, path in zip(temps, files):
+            handles[path] = handle = os.fdopen(fd, "w", newline="")
+            # mkstemp makes the file 0600; give it the mode open() would have
+            os.chmod(tmp, 0o666 & ~umask)
+            handle.write(f"{CSV_COMMENT}\n{CSV_HEADER}\n")
+        for path, row in lines:
+            handles[path].write(f"{row}\n")
+            counts[path] += 1
+        for handle in handles.values():
+            handle.close()
+        for tmp, path in zip(temps, paths):
             os.replace(tmp, path)
     except BaseException:
+        for handle in handles.values():
+            handle.close()
         for tmp in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         raise
     return counts
+
+
+def _write_csv(path: str, rows) -> int:
+    """_write_csvs for one path; returns its row count."""
+    return _write_csvs([path], ((path, row) for row in rows))[path]
 
 
 def _parse_grid(key: str, text) -> list[int] | range:
@@ -217,9 +232,18 @@ def _parse_grid(key: str, text) -> list[int] | range:
     return values
 
 
+class _ConfigError(Exception):
+    """A config file that is not UTF-8 or not JSON."""
+
+
 def _load_config(path: str) -> dict:
+    import json  # only --config reads JSON
+
     with open(path) as handle:
-        config = json.load(handle)
+        try:
+            config = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise _ConfigError(exc) from exc
     if not isinstance(config, dict):
         raise InvalidParamsError(f"config {path!r} must hold a JSON object")
     unknown = set(config) - set(_FLAGS)
@@ -348,8 +372,7 @@ def cmd_sweep(cfg: dict) -> int:
         raise InvalidParamsError("sweep needs --out PATH")
     # the walk never repeats a point, so each estimate is dropped once its row is written
     rows = _point_rows(cfg, _estimates, protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol))
-    counts = _write_csvs({cfg["out"]: rows})
-    print(f"wrote {counts[cfg['out']]} rows to {cfg['out']}")
+    print(f"wrote {_write_csv(cfg['out'], rows)} rows to {cfg['out']}")
     return 0
 
 
@@ -402,8 +425,7 @@ def cmd_compare(cfg: dict) -> int:
         both = {**cfg, "mode": "both"}
         rows = (row for protocol in sorted(protocols)
                 for row in _point_rows(both, estimates, protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol)))
-        counts = _write_csvs({cfg["out"]: rows})
-        print(f"wrote {counts[cfg['out']]} rows to {cfg['out']}")
+        print(f"wrote {_write_csv(cfg['out'], rows)} rows to {cfg['out']}")
     return 1 if failures else 0
 
 
@@ -413,44 +435,54 @@ def _figure_points(cfg: dict):
     return (point for point, _ in itertools.groupby(merged))
 
 
-def _figure_panels(cfg: dict) -> dict:
-    """Every panel of cfg's figures as a lazy walk of its rows; the regeneration panels share one sampler memo,
-    while a read or write point occurs in one panel only and keeps no estimate."""
-    estimates = _memoised_estimates()
-    panels = {}
-    for figure in _FIGURES if cfg["figure"] in (None, "all") else [cfg["figure"]]:
+def _figure_panels(cfg: dict):
+    """cfg's panels, and one lazy walk of their (panel, CSV line) pairs.  A read or write point occurs in one
+    panel only, so those panels stream one after another and keep no estimate; the regeneration panels walk
+    their points once, together, so that each point's one sampler run serves its rows in every panel and is
+    dropped after them."""
+    figures = _FIGURES if cfg["figure"] in (None, "all") else [cfg["figure"]]
+    walks = []  # (panel, its rows) of the read and write panels
+    for figure in figures:
         if figure in ("read", "write"):
             requests = {*cfg["requests"], _WRITE_R_ANCHOR} if figure == "write" else cfg["requests"]
             nodes = ((n, None) for n in _ascending(cfg["nodes"]))
-            panels[f"{figure}_request_prob"] = _point_rows(cfg, _estimates, figure, [f"{figure}_degrade"], nodes)
             points = _grid({**cfg, "requests": requests}, figure)
-            panels[f"{figure}_user_prob"] = _point_rows(cfg, _estimates, figure, [f"{figure}_user_degrade"], points)
-            continue
-        for protocol in _REGEN_FIGURES[figure]:
-            points = _figure_points(cfg)
-            panels[f"{PROTOCOLS[protocol][1]}_prob"] = _point_rows(cfg, estimates, protocol, _metrics(protocol), points)
-    return panels
+            walks += [
+                (f"{figure}_request_prob", _point_rows(cfg, _estimates, figure, [f"{figure}_degrade"], nodes)),
+                (f"{figure}_user_prob", _point_rows(cfg, _estimates, figure, [f"{figure}_user_degrade"], points)),
+            ]
+    regen = {f"{PROTOCOLS[p][1]}_prob": p for figure in figures for p in _REGEN_FIGURES.get(figure, ())}
+
+    def lines():
+        for panel, rows in walks:
+            yield from ((panel, row) for row in rows)
+        for point in _figure_points(cfg) if regen else ():
+            estimates = _memoised_estimates()  # the point's one sampler run, for all its regeneration panels
+            for panel, protocol in regen.items():
+                yield from ((panel, row) for row in _point_rows(cfg, estimates, protocol, _metrics(protocol), [point]))
+
+    return [panel for panel, _ in walks] + list(regen), lines()
 
 
 def cmd_figures(cfg: dict) -> int:
     out_dir = cfg["out"]
     if not out_dir:
         raise InvalidParamsError("figures needs --out DIR")
-    panels = _figure_panels(cfg)
+    panels, lines = _figure_panels(cfg)
     created, parent = [], os.path.abspath(out_dir)  # the directories makedirs makes, deepest first
     while not os.path.exists(parent):
         created.append(parent)
         parent = os.path.dirname(parent)
     os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, f"{panel}.csv") for panel in panels]
+    paths = {panel: os.path.join(out_dir, f"{panel}.csv") for panel in panels}
     try:
-        _write_csvs(dict(zip(paths, panels.values())))
+        _write_csvs(list(paths.values()), ((paths[panel], row) for panel, row in lines))
     except BaseException:
         # an error leaves no file, and no directory that this run made
         for directory in created:
             os.rmdir(directory)
         raise
-    print("\n".join(f"wrote {path}" for path in paths))
+    print("\n".join(f"wrote {path}" for path in paths.values()))
     return 0
 
 
@@ -489,6 +521,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective(args, command_defaults)
         if args.show_config:
+            import json
+
             print(json.dumps(cfg, indent=2, sort_keys=True, default=list))  # a node range prints as its list
             return 0
         with warnings.catch_warnings():
@@ -501,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except _ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

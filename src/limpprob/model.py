@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import LowLoadWarning
-from .params import ClusterParams, Probability, RegenParams, WorkloadParams
+from .params import ClusterParams, Probability, Record, RegenParams, WorkloadParams
 
 # Metric names, shared by the closed forms' callers, the samplers and the CSVs.
 NODE_DEGRADE = "node_degrade"
@@ -43,8 +42,7 @@ def _guarded_clamp(value: float, context: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class BlockDegradeBreakdown:
+class BlockDegradeBreakdown(Record):
     """Probability that one lost block cannot be regenerated promptly.
 
     both_on_degraded: both surviving copies sit on degraded good nodes.
@@ -52,6 +50,7 @@ class BlockDegradeBreakdown:
     good node.  The two cases are mutually exclusive; total is their sum.
     """
 
+    __slots__ = ("both_on_degraded", "one_on_slow", "total")
     both_on_degraded: Probability
     one_on_slow: Probability
     total: Probability

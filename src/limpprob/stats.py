@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidParamsError
-from .params import Probability
+from .params import Probability, Record
 
 # Two-sided 95% normal quantile.
 Z_95 = 1.959963984540054
@@ -35,14 +34,14 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     return low, high
 
 
-@dataclass(frozen=True)
-class EstimateSummary:
+class EstimateSummary(Record):
     """Monte Carlo point estimate for one metric.
 
     trials counts the Bernoulli observations behind the estimate (for
     per-node metrics that is trials x good nodes, not the trial count).
     """
 
+    __slots__ = ("trials", "successes", "point_estimate", "ci_low", "ci_high")
     trials: int
     successes: int
     point_estimate: Probability

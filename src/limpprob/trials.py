@@ -56,13 +56,14 @@ def _check_trials(trials: int) -> None:
 def _partition(trials: int, workers: int, per_trial: int) -> list[tuple[int, int]]:
     """Split range(trials) into contiguous ranges of about equal size, one per thread.
 
-    per_trial bounds the stream positions one trial reads, from the layouts of
-    :mod:`limpprob.rng`: n + 3b for the assumption sampler, 4r for reads, 3r for
-    writes, and 3*b_total placement hashes for a protocol trial, whose two
-    positions per lost block are few beside them.  Every range holds at least
-    _CHUNK_ELEMS positions, so a call below two chunks gets one range; there
-    are at most `workers` ranges, and at most one per CPU this process may run
-    on (its affinity mask where the OS has one, else the CPU count).
+    per_trial is the stream positions one trial reads, from the layouts of
+    :mod:`limpprob.rng`: n + 3b for the assumption sampler, 3*b_total placement
+    hashes for a protocol trial, whose two positions per lost block are few
+    beside them, and 4 per read or 3 per write up to the expected first slow
+    request, min(r, n) reads or min(r, ceil(n/3)) writes.  Every range holds
+    at least _CHUNK_ELEMS positions, so a call below two chunks gets one range;
+    there are at most `workers` ranges, and at most one per CPU this process
+    may run on (its affinity mask where the OS has one, else the CPU count).
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     min_trials = -(-_CHUNK_ELEMS // max(1, per_trial))
@@ -342,13 +343,14 @@ def run_rw_trials(
         hit[trial, request] = holds_slow(states[trial], firsts[request])
         return hit
 
+    # a trial stops at its first slow request, expected after 1/p requests: p = 1/n a read, 3/n a write
     if protocol == "read":
-        slots, touched = 4, read_touched
+        slots, touched, expected = 4, read_touched, n
     else:
-        slots, touched = 3, lambda states, firsts: holds_slow(states[:, None], firsts)
+        slots, touched, expected = 3, lambda states, firsts: holds_slow(states[:, None], firsts), -(-n // 3)
 
     def counts(start: int, stop: int):
         return [_count_hit_trials(master_seed, start, stop, r, 0, slots, touched)]
 
-    (touched_total,) = _run_partitioned(counts, trials, workers, slots * r)
+    (touched_total,) = _run_partitioned(counts, trials, workers, slots * min(r, expected))
     return EstimateSummary.from_counts(touched_total, trials)

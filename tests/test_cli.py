@@ -323,8 +323,8 @@ class TestFigures:
 
 
     def test_failure_after_complete_panels_leaves_nothing(self, tmp_path, capsys, monkeypatch):
-        # the four read and write panels are complete temp files when the node panel reaches n = 2000,
-        # whose 1,332,667 planted blocks exceed the protocol sampler's cap
+        # all eight panels have temp files, and the four read and write panels are complete, when the
+        # regeneration walk reaches n = 2000, whose 1,332,667 planted blocks exceed the protocol sampler's cap
         temps = []
         mkstemp = cli.tempfile.mkstemp
 
@@ -339,7 +339,7 @@ class TestFigures:
                                "--trials", "2", "--out", str(out))
         assert (code, text) == (2, "")
         assert "place at most" in err
-        assert len(temps) == 5 and list(tmp_path.iterdir()) == []
+        assert len(temps) == 8 and list(tmp_path.iterdir()) == []
 
 
 class TestModelCommand:
@@ -706,22 +706,29 @@ class TestBoundedMemory:
 
 
 class TestNoEstimateOutlivesItsRow:
-    @pytest.mark.parametrize("argv, calls", [
-        (["sweep", "--protocol", "read", "--requests", "1", "--out", "{tmp}/x.csv"], 5000),
+    @pytest.mark.parametrize("argv, sampler, calls", [
+        (["sweep", "--protocol", "read", "--requests", "1", "--out", "{tmp}/x.csv"], "run_rw_trials", 5000),
         # the write panels add the 40-request anchor at every n
-        (["figures", "--figure", "write", "--requests", "1", "--out", "{tmp}"], 10000),
-    ], ids=["sweep", "figures-write"])
-    def test_at_most_one_earlier_estimate_alive(self, tmp_path, capsys, monkeypatch, argv, calls):
-        # no read or write point repeats; holding each estimate grows memory about 0.33 KB per point
+        (["figures", "--figure", "write", "--requests", "1", "--out", "{tmp}"], "run_rw_trials", 10000),
+        # the regeneration panels share the points (n, (n-1)k) for k in 1, 5, 10, 50, and the (100, 3200) anchor
+        (["figures", "--figure", "node-cluster", "--out", "{tmp}"], "run_assumption_trials", 20001),
+        (["figures", "--figure", "block", "--out", "{tmp}"], "run_assumption_trials", 20001),
+    ], ids=["sweep", "figures-write", "figures-node-cluster", "figures-block"])
+    def test_at_most_one_earlier_estimate_alive(self, tmp_path, capsys, monkeypatch, argv, sampler, calls):
+        # no point repeats within a walk; holding each estimate grows memory about 0.33 KB (read or write)
+        # to 1.2 KB (regeneration) per point
         alive = weakref.WeakValueDictionary()  # call index -> the estimate that call returned, while it lives
         alive_before = []
 
-        def stub(protocol, n, r, trials, seed, workers):
+        def stub(*args):
             alive_before.append(len(alive))
             alive[len(alive_before)] = estimate = EstimateSummary.from_counts(1, 2)
-            return estimate
+            if sampler == "run_rw_trials":
+                return estimate
+            return dict.fromkeys([model.NODE_DEGRADE, model.CLUSTER_DEGRADE, model.BLOCK_DEGRADE,
+                                  model.ANY_BLOCK_DEGRADE], estimate)
 
-        monkeypatch.setattr(trials, "run_rw_trials", stub)
+        monkeypatch.setattr(trials, sampler, stub)
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         code, _, _ = _run(capsys, *argv, "--mode", "simulate", "--nodes", "10..5009", "--trials", "1")
         assert code == 0
@@ -775,3 +782,42 @@ class TestAnalyticPathWithoutNumpy:
         assert blocked == plain
         assert blocked_files == plain_files
         assert len(blocked_files) == 9  # sweep.csv and the eight figure panels
+
+
+# Runs each argument, a command line split on spaces, through main() in one interpreter, then prints the exit
+# codes and which of the modules named by the first argument limpprob loaded.
+_IMPORT_DIET_CHILD = """
+import contextlib, io, sys
+before = set(sys.modules)
+from limpprob.cli import main
+codes = []
+for command in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(main(command.split()))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(codes, [m for m in sys.argv[1].split(",") if m in sys.modules and m not in before])
+"""
+
+
+class TestImportDiet:
+    # dataclasses brings inspect, ast and dis; oracle brings fractions and decimal; json is for --config only
+    HEAVY = ["dataclasses", "inspect", "fractions", "decimal", "json", "numpy"]
+
+    def test_analytic_commands_import_no_heavy_module(self, tmp_path):
+        commands = [
+            "model --protocol regen-any-block --nodes 100 --blocks 3200",
+            "model --protocol write --nodes 50 --requests 40",
+            "sweep --mode analytic --protocol regen-block --nodes 10,30 --out sweep.csv",
+            "--help",
+        ]
+        proc = _python(tmp_path, _IMPORT_DIET_CHILD, ",".join(self.HEAVY), *commands)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0] []"
+
+    def test_the_check_sees_a_heavy_import(self, tmp_path):
+        proc = _python(tmp_path, _IMPORT_DIET_CHILD, ",".join(self.HEAVY), "model --protocol read --nodes 10",
+                       "compare --show-config")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0] ['json']"

@@ -77,3 +77,11 @@ def test_results_in_lowest_terms():
         frac = enum_slow_dest_prob(n)
         assert math.gcd(frac.numerator, frac.denominator) == 1
         assert frac.denominator > 0
+
+
+def test_package_root_resolves_the_enumerations_from_oracle():
+    import limpprob
+    import limpprob.oracle
+
+    for name in ("enum_read_prob", "enum_slow_dest_prob", "enum_write_prob"):
+        assert getattr(limpprob, name) is getattr(limpprob.oracle, name)

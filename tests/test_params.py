@@ -1,10 +1,19 @@
 import math
+import weakref
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from limpprob import ClusterParams, InvalidParamsError, Probability, RegenParams, WorkloadParams
+from limpprob import (
+    BlockDegradeBreakdown,
+    ClusterParams,
+    EstimateSummary,
+    InvalidParamsError,
+    Probability,
+    RegenParams,
+    WorkloadParams,
+)
 
 
 class TestProbability:
@@ -60,3 +69,62 @@ class TestRegenParams:
     def test_negative_blocks_rejected(self):
         with pytest.raises(InvalidParamsError):
             RegenParams(10, -1)
+
+
+# every record type: one set of field values, and another that differs in the last field only
+RECORDS = [
+    (ClusterParams, (10,), (11,)),
+    (WorkloadParams, (5,), (6,)),
+    (RegenParams, (10, 90), (10, 91)),
+    (EstimateSummary, (100, 36, Probability(0.36), 0.27, 0.46), (100, 36, Probability(0.36), 0.27, 0.47)),
+    (BlockDegradeBreakdown, (Probability(0.1), Probability(0.2), Probability(0.3)),
+     (Probability(0.1), Probability(0.2), Probability(0.25))),
+]
+
+
+@pytest.mark.parametrize("cls, values, other", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+class TestRecords:
+    def test_positional_and_keyword_construction_agree(self, cls, values, other):
+        names = cls.__slots__
+        record = cls(*values)
+        assert tuple(getattr(record, name) for name in names) == values
+        assert cls(**dict(zip(names, values))) == record
+        assert cls(**dict(reversed(list(zip(names, values))))) == record
+        assert cls(values[0], **dict(zip(names[1:], values[1:]))) == record
+
+    def test_wrong_fields_raise_type_error(self, cls, values, other):
+        for args, kwargs in [(values + (1,), {}), (values[:-1], {}), (values, {"bogus": 1}),
+                             (values, {cls.__slots__[0]: values[0]})]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, values, other):
+        record = cls(*values)
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, other[-1])
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == cls(*values)
+
+    def test_equality_hash_and_repr_by_field(self, cls, values, other):
+        record, twin, changed = cls(*values), cls(*values), cls(*other)
+        assert record == twin and record is not twin and hash(record) == hash(twin)
+        assert record != changed and not record == changed
+        assert record != values  # a record is not a tuple
+        assert len({record, twin, changed}) == 2
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, values))
+        assert repr(record) == f"{cls.__name__}({fields})"
+
+    def test_weakly_referenced(self, cls, values, other):
+        record = cls(*values)
+        ref = weakref.ref(record)
+        assert ref() is record
+        del record
+        assert ref() is None
+
+
+def test_records_of_different_types_differ():
+    assert ClusterParams(10) != WorkloadParams(10)

@@ -82,6 +82,17 @@ class TestPartition:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert _partition(100_000, 2, trials._CHUNK_ELEMS) == [(0, 100_000)]
 
+    def test_read_and_write_calls_split_by_their_expected_length(self, monkeypatch):
+        # a trial stops at its first slow request, about n reads or n/3 writes in: at n = 50 and r = 1000 a
+        # read trial reads about 200 positions and a write trial 51, so neither call makes two chunks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert len(_partition(600, 2, 4 * 1000)) == 2  # the bound 4r would split the read call
+        ranges = []
+        monkeypatch.setattr(trials, "_partition", lambda *args: ranges.append(_partition(*args)) or ranges[-1])
+        run_rw_trials("read", 50, 1000, 600, master_seed=1, workers=2)
+        run_rw_trials("write", 50, 1000, 800, master_seed=1, workers=2)
+        assert ranges == [[(0, 600)], [(0, 800)]]
+
     @pytest.mark.parametrize("chunks, want", [
         (1, [(0, 8)]),
         (2, [(0, 8), (8, 16)]),
