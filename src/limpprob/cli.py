@@ -28,11 +28,12 @@ since grids reach low loads on purpose, and restores the warning filters on retu
 A process imports only what its command runs.  Only a sampler run imports numpy
 (through :mod:`limpprob.trials`), and ``_estimates`` sets
 ``OPENBLAS_NUM_THREADS=1`` first, unless it is set, since no sampler calls BLAS;
-json loads only to read ``--config`` or print ``--show-config``; the package root
-loads :mod:`limpprob.oracle` (fractions, decimal) on first use; and the records
-are :class:`limpprob.params.Record` subclasses, not dataclasses.  So ``model``,
-``--mode analytic`` and ``--help`` start without numpy, ``dataclasses``,
-``inspect``, ``fractions``, ``decimal`` or ``json``.
+json loads only to read ``--config`` or print ``--show-config``, and tempfile only
+to write files; the package root loads :mod:`limpprob.oracle` (fractions,
+decimal) on first use; and the records are :class:`limpprob.params.Record`
+subclasses, not dataclasses.  So ``model``, ``--mode analytic`` and ``--help``
+start without numpy, ``dataclasses``, ``inspect``, ``fractions``, ``decimal`` or
+``json``, and ``model`` and ``--help`` without ``tempfile``.
 
 Exit codes: 0 success, 1 comparison failure (beyond tolerance or no
 observations), 2 usage/config error.
@@ -56,7 +57,6 @@ import heapq
 import itertools
 import os
 import sys
-import tempfile
 import warnings
 
 from . import model
@@ -176,6 +176,8 @@ def _memoised_estimates():
 def _write_csvs(paths: list[str], lines) -> dict[str, int]:
     """Stream the (path, row) pairs of lines into one temp file beside each of paths, and rename them all once
     the stream ends; an error unlinks every temp file.  Returns each path's row count."""
+    import tempfile  # only the commands that write files need it
+
     umask = os.umask(0)  # os.umask only reads by setting; the CLI writes from one thread
     os.umask(umask)
     temps: list[str] = []
@@ -411,10 +413,10 @@ def cmd_compare(cfg: dict) -> int:
             failures += status != "ok"
             beyond += status == "FAIL"
             lines.append(
-                f"{protocol:<16}{n:>5}{v:>8}  {metric:<20}{analytic:>12.6g}{est.point_estimate:>12.6g}"
+                f"{protocol:<16}{n:>5} {v:>7}  {metric:<20}{analytic:>12.6g}{est.point_estimate:>12.6g}"
                 f"{gap:>10.2g}  {status}"
             )
-    header = f"{'protocol':<16}{'n':>5}{'r_or_b':>8}  {'metric':<20}{'analytic':>12}{'estimate':>12}{'gap':>10}  status"
+    header = f"{'protocol':<16}{'n':>5} {'r_or_b':>7}  {'metric':<20}{'analytic':>12}{'estimate':>12}{'gap':>10}  status"
     print("\n".join([header, "-" * len(header), *lines]))
     verdict = "all within tolerance" if beyond == 0 else f"{beyond} point(s) beyond tolerance"
     if failures > beyond:

@@ -14,16 +14,17 @@ Three flavors:
   :func:`_node_target` at fractional m.
 * :func:`run_rw_trials` samples read/write request streams.
 
-Every estimate is aggregated from integer success counts whose per-trial
-randomness is counter-based (see :mod:`limpprob.rng`), so results are
-bit-identical for a given master seed regardless of chunking or worker count.
-Trials are split into contiguous index ranges when ``workers > 1``, one
-thread each, and the counts are summed, which is order-independent.
-``_CHUNK_ELEMS`` bounds every transient array and is also the unit of parallel
-work: a call splits only into ranges of at least ``_CHUNK_ELEMS`` stream
-positions each, at most one per usable CPU, so a call below two chunks runs in
-the calling thread (a smaller one cannot release the GIL long enough for a
-second thread to pay for itself).
+Each sampler checks its inputs and hands a ``counts(states)`` for one batch of
+trials to :func:`_sample`, the one batching and thread policy: the trials split
+into contiguous index ranges (:func:`_partition`), one thread each, each range
+is walked in batches, and the per-metric integer (successes, observations)
+pairs are summed, which is order-independent.  Per-trial randomness is
+counter-based (see :mod:`limpprob.rng`), so results are bit-identical for a
+given master seed regardless of batching or worker count.  ``_CHUNK_ELEMS``
+bounds every transient array and is also the unit of parallel work: a call
+splits only into ranges of at least ``_CHUNK_ELEMS`` stream positions each, at
+most one per usable CPU, so a call below two chunks runs in the calling thread
+(a smaller one cannot release the GIL long enough for a second thread to pay).
 
 Estimates are keyed by the metric names of :mod:`limpprob.model`.  This module
 and :mod:`limpprob.rng` are the only ones that import numpy; the package root
@@ -46,24 +47,17 @@ from .stats import EstimateSummary
 # The one memory budget: every transient uniform array holds at most this
 # many elements, and a protocol trial places at most a third as many blocks.
 _CHUNK_ELEMS = 1 << 20
-
-
-def _check_trials(trials: int) -> None:
-    if not isinstance(trials, int) or trials < 1:
-        raise InvalidParamsError(f"need at least 1 trial, got {trials!r}")
+_REGEN_METRICS = (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)
 
 
 def _partition(trials: int, workers: int, per_trial: int) -> list[tuple[int, int]]:
-    """Split range(trials) into contiguous ranges of about equal size, one per thread.
+    """Split range(trials) into contiguous ranges of about equal size, one per thread of :func:`_sample`.
 
-    per_trial is the stream positions one trial reads, from the layouts of
-    :mod:`limpprob.rng`: n + 3b for the assumption sampler, 3*b_total placement
-    hashes for a protocol trial, whose two positions per lost block are few
-    beside them, and 4 per read or 3 per write up to the expected first slow
-    request, min(r, n) reads or min(r, ceil(n/3)) writes.  Every range holds
-    at least _CHUNK_ELEMS positions, so a call below two chunks gets one range;
-    there are at most `workers` ranges, and at most one per CPU this process
-    may run on (its affinity mask where the OS has one, else the CPU count).
+    per_trial is the stream positions one trial is expected to read, from its
+    sampler's layout in :mod:`limpprob.rng`.  Every range holds at least
+    _CHUNK_ELEMS positions, so a call below two chunks gets one range; there
+    are at most `workers` ranges, and at most one per CPU this process may run
+    on (its affinity mask where the OS has one, else the CPU count).
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     min_trials = -(-_CHUNK_ELEMS // max(1, per_trial))
@@ -71,14 +65,32 @@ def _partition(trials: int, workers: int, per_trial: int) -> list[tuple[int, int
     return [(-(-trials * i // parts), -(-trials * (i + 1) // parts)) for i in range(parts)]
 
 
-def _run_partitioned(counts_fn, trials: int, workers: int, per_trial: int):
-    """Run counts_fn over trial ranges and sum the resulting count vectors."""
+def _sample(counts, master_seed: int, trials: int, workers: int, per_trial: int, batch: int, metrics):
+    """The one sampler driver: {metric: EstimateSummary} over trials 0 .. trials-1.
+
+    The ranges of :func:`_partition` run one thread each, and each range is
+    walked in batches of at most `batch` consecutive trials.  counts(states)
+    maps one batch's trial states to one (successes, observations) pair per
+    metric, in the order of metrics; the pairs are summed as integers.
+    """
+    if not isinstance(trials, int) or trials < 1:
+        raise InvalidParamsError(f"need at least 1 trial, got {trials!r}")
+
+    def run(part: tuple[int, int]) -> list[tuple[int, int]]:
+        sums = [(0, 0)] * len(metrics)
+        for lo in range(*part, batch):
+            states = trial_states_np(master_seed, np.arange(lo, min(part[1], lo + batch), dtype=np.int64))
+            sums = [(hits + int(h), seen + int(s)) for (hits, seen), (h, s) in zip(sums, counts(states))]
+        return sums
+
     parts = _partition(trials, workers, per_trial)
     if len(parts) == 1:
-        return counts_fn(*parts[0])
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        results = list(pool.map(lambda p: counts_fn(*p), parts))
-    return [sum(col) for col in zip(*results)]
+        results = [run(parts[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            results = list(pool.map(run, parts))
+    totals = (map(sum, zip(*pairs)) for pairs in zip(*results))  # (successes, observations) per metric
+    return {metric: EstimateSummary.from_counts(*total) for metric, total in zip(metrics, totals)}
 
 
 def _holds_node_zero(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
@@ -118,18 +130,18 @@ def run_protocol_trials(
     estimate averages over all lost blocks of all trials.  The kernel reads
     the stream positions documented in :mod:`limpprob.rng`.
 
-    Placement is hashed in tiles of at most _CHUNK_ELEMS >> 4 raw values, into
-    two buffers made once per trial range: whole trials per tile, or one larger
-    trial in block chunks.  A block is lost when one of its raw values is below
-    its :func:`_lost_limit`, an exact integer form of :func:`_holds_node_zero`.
-    The rest runs in stages of whole trials that expect about _CHUNK_ELEMS >> 7
-    lost blocks in all, and at most _CHUNK_ELEMS // n trials, so that a
-    stage's trials x nodes table fits the memory budget.  A lost triple holds
-    node 0, so its live holders are the sum of its indices less their maximum,
-    and that maximum.  The destination is node 1 iff the rank is 0 and node 1
-    holds no copy, so the coin is read only for tasks bound for node 1.
-    b_total is capped at _CHUNK_ELEMS // 3 = 349,525 so that one trial's
-    lost-block arrays fit the memory budget, and n at _CHUNK_ELEMS.
+    Trials run in batches (stages) of whole trials that expect about
+    _CHUNK_ELEMS >> 7 lost blocks in all, and at most _CHUNK_ELEMS // n trials,
+    so that a stage's trials x nodes table fits the memory budget.  Placement
+    is hashed in tiles of at most _CHUNK_ELEMS >> 4 raw values, into two
+    buffers made once per batch: whole trials per tile, or one larger trial in
+    block chunks.  A block is lost when one of its raw values is below its
+    :func:`_lost_limit`, an exact integer form of :func:`_holds_node_zero`.  A
+    lost triple holds node 0, so its live holders are the sum of its indices
+    less their maximum, and that maximum.  The destination is node 1 iff the
+    rank is 0 and node 1 holds no copy, so the coin is read only for tasks
+    bound for node 1.  b_total is capped at _CHUNK_ELEMS // 3 = 349,525 so that
+    one trial's lost-block arrays fit the memory budget, and n at _CHUNK_ELEMS.
     """
     if not isinstance(n, int) or n < 5:
         raise InvalidParamsError(f"protocol trials need an integer n >= 5, got {n!r}")
@@ -139,7 +151,6 @@ def run_protocol_trials(
         raise InvalidParamsError(f"need at least 1 block, got {b_total!r}")
     if 3 * b_total > _CHUNK_ELEMS:
         raise InvalidParamsError(f"protocol trials place at most {_CHUNK_ELEMS // 3} blocks, got {b_total}")
-    _check_trials(trials)
     # whole trials per stage: about _CHUNK_ELEMS >> 7 expected lost blocks, 3 * b_total / n per trial
     stage = max(1, min(_CHUNK_ELEMS // n, (_CHUNK_ELEMS >> 7) * n // (3 * b_total)))
     budget = _CHUNK_ELEMS >> 4  # placement hashes per tile
@@ -149,70 +160,59 @@ def run_protocol_trials(
     # replica c of block j sits at stream position 3j + c; stored column-major
     steps = step_terms_np(3 * np.arange(cols, dtype=np.uint64) + np.arange(3, dtype=np.uint64)[:, None])[:, None]
 
-    def counts(start: int, stop: int):
+    def counts(states: np.ndarray):
+        size = states.size
         # Every tile hashes into these two buffers: fresh 512 KB temporaries
         # per ufunc took about 35,000 more page faults on the compare grid.
-        size = 3 * min(rows, stop - start) * cols
-        raw_buf, scratch_buf = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-        node_hits = cluster_hits = block_hits = lost_total = any_hits = 0
-        for lo in range(start, stop, stage):
-            states = trial_states_np(master_seed, np.arange(lo, min(stop, lo + stage), dtype=np.int64))
-            # placement: a block is lost when a raw replica index is 0 (node 0)
-            trial_parts, raw_parts = [], []
-            for row in range(0, states.size, rows):
-                tile_states = states[row : row + rows]
-                for first in range(0, b_total, cols):
-                    shape = (3, tile_states.size, min(cols, b_total - first))
-                    used = shape[0] * shape[1] * shape[2]
-                    raws = raws_into(
-                        raw_buf[:used].reshape(shape),
-                        advance_np(tile_states, 3 * first)[:, None],
-                        steps[..., : shape[2]],
-                        scratch_buf[:used].reshape(shape),
-                    ).reshape(3, -1)
-                    lost = np.flatnonzero((raws[0] < limits[0]) | (raws[1] < limits[1]) | (raws[2] < limits[2]))
-                    trial_parts.append(lost // shape[2] + row)
-                    raw_parts.append(raws[:, lost])
-            trial = np.concatenate(trial_parts)  # trial, then block-id order
-            u = to_uniforms(np.concatenate(raw_parts, axis=1))
-            i1, i2, i3 = to_index(u[0], n), to_index(u[1], n - 1), to_index(u[2], n - 2)
-            i2 += i2 >= i1
-            low, high = np.minimum(i1, i2), np.maximum(i1, i2)
-            i3 += i3 >= low
-            i3 += i3 >= high
-            np.maximum(high, i3, out=high)
-            mid = i1 + i2 + i3 - high  # the holders mid < high; node 0 is the third index
-            # plan: the k-th lost block of a trial reads 3*b_total + 2k (coin) and + 1 (rank);
-            # rank 0 picks node 1 unless node 1 holds a copy, and then mid == 1
-            per_trial = np.bincount(trial, minlength=states.size)
-            k = np.arange(trial.size) - (np.cumsum(per_trial) - per_trial)[trial]
-            ranks = (3 * b_total + 1 + 2 * k).astype(np.uint64)
-            lost_states = states[trial]
-            to_slow = np.flatnonzero((uniforms_np(lost_states, ranks) * (n - 3) < 1.0) & (mid != 1))
-            heads = uniforms_np(lost_states[to_slow], ranks[to_slow] - np.uint64(1)) < 0.5
-            sources = np.where(heads, mid[to_slow], high[to_slow])
-            # classify: a good node is degraded by >= 2 of its tasks bound for node 1;
-            # nodes 0 and 1 source none of those, so their cells stay 0
-            base = trial * n
-            degraded = np.bincount(base[to_slow] + sources, minlength=states.size * n) >= 2
-            per_trial_degraded = degraded.reshape(states.size, n).sum(axis=1)
-            node_hits += int(per_trial_degraded.sum())
-            cluster_hits += int(np.count_nonzero(per_trial_degraded == n - 2))
-            # a lost block is degraded when each live holder is the slow node or degraded
-            degraded[1::n] = True
-            hit = degraded[base + mid] & degraded[base + high]
-            block_hits += int(np.count_nonzero(hit))
-            any_hits += int(np.count_nonzero(np.bincount(trial[hit])))
-            lost_total += trial.size
-        return [node_hits, cluster_hits, block_hits, lost_total, any_hits]
+        raw_buf, scratch_buf = (np.empty(3 * min(rows, size) * cols, dtype=np.uint64) for _ in range(2))
+        # placement: a block is lost when a raw replica index is 0 (node 0)
+        trial_parts, raw_parts = [], []
+        for row in range(0, size, rows):
+            tile_states = states[row : row + rows]
+            for first in range(0, b_total, cols):
+                shape = (3, tile_states.size, min(cols, b_total - first))
+                used = shape[0] * shape[1] * shape[2]
+                raws = raws_into(
+                    raw_buf[:used].reshape(shape),
+                    advance_np(tile_states, 3 * first)[:, None],
+                    steps[..., : shape[2]],
+                    scratch_buf[:used].reshape(shape),
+                ).reshape(3, -1)
+                lost = np.flatnonzero((raws[0] < limits[0]) | (raws[1] < limits[1]) | (raws[2] < limits[2]))
+                trial_parts.append(lost // shape[2] + row)
+                raw_parts.append(raws[:, lost])
+        trial = np.concatenate(trial_parts)  # trial, then block-id order
+        u = to_uniforms(np.concatenate(raw_parts, axis=1))
+        i1, i2, i3 = to_index(u[0], n), to_index(u[1], n - 1), to_index(u[2], n - 2)
+        i2 += i2 >= i1
+        low, high = np.minimum(i1, i2), np.maximum(i1, i2)
+        i3 += i3 >= low
+        i3 += i3 >= high
+        np.maximum(high, i3, out=high)
+        mid = i1 + i2 + i3 - high  # the holders mid < high; node 0 is the third index
+        # plan: the k-th lost block of a trial reads 3*b_total + 2k (coin) and + 1 (rank);
+        # rank 0 picks node 1 unless node 1 holds a copy, and then mid == 1
+        per_trial = np.bincount(trial, minlength=size)
+        k = np.arange(trial.size) - (np.cumsum(per_trial) - per_trial)[trial]
+        ranks = (3 * b_total + 1 + 2 * k).astype(np.uint64)
+        lost_states = states[trial]
+        to_slow = np.flatnonzero((uniforms_np(lost_states, ranks) * (n - 3) < 1.0) & (mid != 1))
+        heads = uniforms_np(lost_states[to_slow], ranks[to_slow] - np.uint64(1)) < 0.5
+        sources = np.where(heads, mid[to_slow], high[to_slow])
+        # classify: a good node is degraded by >= 2 of its tasks bound for node 1;
+        # nodes 0 and 1 source none of those, so their cells stay 0
+        base = trial * n
+        degraded = np.bincount(base[to_slow] + sources, minlength=size * n) >= 2
+        per_trial_degraded = degraded.reshape(size, n).sum(axis=1)
+        cluster_hits = np.count_nonzero(per_trial_degraded == n - 2)
+        # a lost block is degraded when each live holder is the slow node or degraded
+        degraded[1::n] = True
+        hit = degraded[base + mid] & degraded[base + high]
+        return ((per_trial_degraded.sum(), size * (n - 2)), (cluster_hits, size),
+                (hit.sum(), trial.size), (np.count_nonzero(np.bincount(trial[hit])), size))
 
-    node_hits, cluster_hits, block_hits, lost_total, any_hits = _run_partitioned(counts, trials, workers, 3 * b_total)
-    return {
-        NODE_DEGRADE: EstimateSummary.from_counts(node_hits, trials * (n - 2)),
-        CLUSTER_DEGRADE: EstimateSummary.from_counts(cluster_hits, trials),
-        BLOCK_DEGRADE: EstimateSummary.from_counts(block_hits, lost_total),
-        ANY_BLOCK_DEGRADE: EstimateSummary.from_counts(any_hits, trials),
-    }
+    # a trial hashes 3 * b_total placement positions; its two per lost block are few beside them
+    return _sample(counts, master_seed, trials, workers, 3 * b_total, stage, _REGEN_METRICS)
 
 
 def _node_target(n: int, b: int) -> float:
@@ -228,8 +228,8 @@ def _node_target(n: int, b: int) -> float:
     return (1.0 - frac) * _at_least_two_hits(kf, p) + frac * _at_least_two_hits(kf + 1, p)
 
 
-def _count_hit_trials(master_seed: int, start: int, stop: int, count: int, base: int, slots: int, hits) -> int:
-    """How many trials in [start, stop) have at least one of count elements hit.
+def _count_hit_trials(alive: np.ndarray, count: int, base: int, slots: int, hits) -> int:
+    """How many of the trials with states alive have at least one of count elements hit.
 
     Element j owns stream positions [base + j*slots, base + (j+1)*slots).
     hits(states, firsts) maps the live trial states and a round's element
@@ -238,21 +238,17 @@ def _count_hit_trials(master_seed: int, start: int, stop: int, count: int, base:
     most len(states) * len(firsts) elements.  Rounds start at width 1 and
     double while that fits _CHUNK_ELEMS; hit trials drop out between rounds,
     so at most about twice the elements up to a trial's first hit are
-    visited, and the count is chunking-independent.
+    visited, and the count is batching-independent.
     """
-    hit_trials = 0
-    for lo in range(start, stop, _CHUNK_ELEMS):
-        alive = trial_states_np(master_seed, np.arange(lo, min(stop, lo + _CHUNK_ELEMS), dtype=np.int64))
-        size = alive.size
-        j, width = 0, 1
-        while j < count and alive.size:
-            width = min(width, count - j, max(1, _CHUNK_ELEMS // alive.size))
-            firsts = np.arange(base + j * slots, base + (j + width) * slots, slots, dtype=np.uint64)
-            alive = alive[~hits(alive, firsts).any(axis=1)]
-            j += width
-            width *= 2
-        hit_trials += size - alive.size
-    return hit_trials
+    size = alive.size
+    j, width = 0, 1
+    while j < count and alive.size:
+        width = min(width, count - j, max(1, _CHUNK_ELEMS // alive.size))
+        firsts = np.arange(base + j * slots, base + (j + width) * slots, slots, dtype=np.uint64)
+        alive = alive[~hits(alive, firsts).any(axis=1)]
+        j += width
+        width *= 2
+    return size - alive.size
 
 
 def run_assumption_trials(
@@ -270,7 +266,6 @@ def run_assumption_trials(
     indicators for its holders, mirroring the independence the closed form
     assumes across blocks.  The stream layout is in :mod:`limpprob.rng`.
     """
-    _check_trials(trials)
     n, b = params.n, params.b
     good = n - 2
     q = _node_target(n, b)
@@ -285,35 +280,30 @@ def run_assumption_trials(
         hit[trial, block] = (uniforms_np(states, firsts) < 2.0 / (n - 1)) | (uniforms_np(states, firsts + 2) < q)
         return hit
 
-    def counts(start: int, stop: int):
-        node_hits = cluster_hits = block_hits = 0
-        for lo in range(start, stop, rows):
-            states = trial_states_np(master_seed, np.arange(lo, min(stop, lo + rows), dtype=np.int64))
-            cluster = np.ones(states.size, dtype=bool)
-            for c in range(0, good, cols):
-                degraded = uniforms_np(states[:, None], np.arange(c, min(good, c + cols), dtype=np.uint64)) < q
-                node_hits += int(degraded.sum())
-                cluster &= degraded.all(axis=1)
-            cluster_hits += int(cluster.sum())
-            # one block on a uniform survivor pair; survivor 0 is the slow node,
-            # survivor k>=1 the good node whose indicator is re-read at k-1
-            u = uniforms_np(states[:, None], np.arange(good, good + 2, dtype=np.uint64))
-            first, second = to_index(u[:, 0], n - 1), to_index(u[:, 1], n - 2)
-            second += second >= first
-            holders = np.stack([first, second], axis=1)
-            on_degraded = uniforms_np(states[:, None], np.maximum(holders - 1, 0).astype(np.uint64)) < q
-            block_hits += int(((holders == 0) | on_degraded).all(axis=1).sum())
+    def counts(states: np.ndarray):
+        size, node_hits = states.size, 0
+        cluster = np.ones(size, dtype=bool)
+        for c in range(0, good, cols):
+            degraded = uniforms_np(states[:, None], np.arange(c, min(good, c + cols), dtype=np.uint64)) < q
+            node_hits += int(degraded.sum())
+            cluster &= degraded.all(axis=1)
+        # one block on a uniform survivor pair; survivor 0 is the slow node,
+        # survivor k>=1 the good node whose indicator is re-read at k-1
+        u = uniforms_np(states[:, None], np.arange(good, good + 2, dtype=np.uint64))
+        first, second = to_index(u[:, 0], n - 1), to_index(u[:, 1], n - 2)
+        second += second >= first
+        holders = np.stack([first, second], axis=1)
+        on_degraded = uniforms_np(states[:, None], np.maximum(holders - 1, 0).astype(np.uint64)) < q
+        block_hits = ((holders == 0) | on_degraded).all(axis=1).sum()
         # with q = 0 no block can be degraded, so skip drawing them
-        any_hits = _count_hit_trials(master_seed, start, stop, b if q > 0.0 else 0, good + 2, 3, block_degraded)
-        return [node_hits, cluster_hits, block_hits, any_hits]
+        any_hits = _count_hit_trials(states, b if q > 0.0 else 0, good + 2, 3, block_degraded)
+        return (node_hits, size * good), (cluster.sum(), size), (block_hits, size), (any_hits, size)
 
-    node_hits, cluster_hits, block_hits, any_hits = _run_partitioned(counts, trials, workers, n + 3 * b)
-    return {
-        NODE_DEGRADE: EstimateSummary.from_counts(node_hits, trials * good),
-        CLUSTER_DEGRADE: EstimateSummary.from_counts(cluster_hits, trials),
-        BLOCK_DEGRADE: EstimateSummary.from_counts(block_hits, trials),
-        ANY_BLOCK_DEGRADE: EstimateSummary.from_counts(any_hits, trials),
-    }
+    # a trial reads n node and pair positions, then 3 per block up to its first degraded one,
+    # expected after 1/p blocks: p = q * P(holder 2 is the slow node or degraded)
+    p = q * (1.0 - (1.0 - 2.0 / (n - 1)) * (1.0 - q))
+    expected = n + 3 * int(min(b, -(-1.0 // p))) if q > 0.0 else n
+    return _sample(counts, master_seed, trials, workers, expected, rows, _REGEN_METRICS)
 
 
 def run_rw_trials(
@@ -332,7 +322,6 @@ def run_rw_trials(
         raise InvalidParamsError(f"protocol must be 'read' or 'write', got {protocol!r}")
     ClusterParams(n)
     WorkloadParams(r)
-    _check_trials(trials)
 
     def holds_slow(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
         return _holds_node_zero(*(uniforms_np(states, firsts + k) for k in range(3)), n)
@@ -349,8 +338,8 @@ def run_rw_trials(
     else:
         slots, touched, expected = 3, lambda states, firsts: holds_slow(states[:, None], firsts), -(-n // 3)
 
-    def counts(start: int, stop: int):
-        return [_count_hit_trials(master_seed, start, stop, r, 0, slots, touched)]
+    def counts(states: np.ndarray):
+        return ((_count_hit_trials(states, r, 0, slots, touched), states.size),)
 
-    (touched_total,) = _run_partitioned(counts, trials, workers, slots * min(r, expected))
-    return EstimateSummary.from_counts(touched_total, trials)
+    per_trial = slots * min(r, expected)
+    return _sample(counts, master_seed, trials, workers, per_trial, _CHUNK_ELEMS, [protocol])[protocol]

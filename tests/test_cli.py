@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
 
@@ -166,6 +167,18 @@ class TestCompare:
         assert code == 1
         assert "FAIL" in out
 
+    def test_table_separates_wide_values(self, capsys):
+        code, out, _ = _run(
+            capsys, "compare", "--protocol", "read", "--nodes", "10",
+            "--requests", "100,12345678,9007199254740992", "--trials", "3",
+        )
+        assert code == 0
+        header, _, *rows = out.splitlines()[:5]
+        assert header.startswith("protocol            n  r_or_b  metric")
+        assert rows[0].startswith("read               10     100  read_user_degrade")
+        assert rows[1].startswith("read               10 12345678  read_user_degrade")
+        assert rows[2].startswith("read               10 9007199254740992  read_user_degrade")
+
     def test_csv_report(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
         code, _, _ = _run(
@@ -326,14 +339,14 @@ class TestFigures:
         # all eight panels have temp files, and the four read and write panels are complete, when the
         # regeneration walk reaches n = 2000, whose 1,332,667 planted blocks exceed the protocol sampler's cap
         temps = []
-        mkstemp = cli.tempfile.mkstemp
+        mkstemp = tempfile.mkstemp
 
         def recording_mkstemp(*args, **kwargs):
             fd, path = mkstemp(*args, **kwargs)
             temps.append(path)
             return fd, path
 
-        monkeypatch.setattr(cli.tempfile, "mkstemp", recording_mkstemp)
+        monkeypatch.setattr(tempfile, "mkstemp", recording_mkstemp)
         out = tmp_path / "figs"
         code, text, err = _run(capsys, "figures", "--mode", "both", "--sim", "protocol", "--nodes", "10,2000",
                                "--trials", "2", "--out", str(out))
@@ -821,3 +834,16 @@ class TestImportDiet:
                        "compare --show-config")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0] ['json']"
+
+    def test_only_file_writing_commands_import_tempfile(self, tmp_path):
+        # -S skips site, which may import tempfile itself; PYTHONPATH still finds the package
+        def child(*commands):
+            return subprocess.run([sys.executable, "-S", "-c", _IMPORT_DIET_CHILD, "tempfile", *commands],
+                                  cwd=tmp_path, env=_child_env(), capture_output=True, text=True)
+
+        proc = child("model --protocol read --nodes 10", "model --protocol regen-block --nodes 30", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] []"
+        proc = child("sweep --mode analytic --protocol read --nodes 10 --out sweep.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0] ['tempfile']"

@@ -93,6 +93,18 @@ class TestPartition:
         run_rw_trials("write", 50, 1000, 800, master_seed=1, workers=2)
         assert ranges == [[(0, 600)], [(0, 800)]]
 
+    def test_assumption_calls_split_by_their_expected_length(self, monkeypatch):
+        # the any-block pass stops at a trial's first degraded block, about 1/p blocks in, with
+        # p = q(1 - (1 - 2/(n-1))(1 - q)): at (50, 2450) a trial reads about 50 + 3 * 12 positions, not n + 3b;
+        # at (50, 490) it reads 50 + 3 * 490 = 1,520 (1/p is about 990), so 2,000 trials make two chunks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert len(_partition(300, 2, 50 + 3 * 2450)) == 2  # the bound n + 3b would split the first call
+        ranges = []
+        monkeypatch.setattr(trials, "_partition", lambda *args: ranges.append(_partition(*args)) or ranges[-1])
+        for n, b, count in ((50, 2450, 300), (30, 1450, 600), (10, 450, 2000), (50, 490, 2000)):
+            run_assumption_trials(RegenParams(n, b), count, master_seed=1, workers=2)
+        assert ranges == [[(0, 300)], [(0, 600)], [(0, 2000)], [(0, 1000), (1000, 2000)]]
+
     @pytest.mark.parametrize("chunks, want", [
         (1, [(0, 8)]),
         (2, [(0, 8), (8, 16)]),
@@ -475,6 +487,21 @@ class TestProtocolTrials:
         assert dest_count > 10_000 and other_count > 10_000
         assert abs(dest_hits / dest_count - float(Fraction(1, n - 3))) <= 0.01
         assert abs(other_hits / other_count - float(enum_slow_dest_prob(n))) <= 0.01
+
+    @pytest.mark.parametrize("n, b_total, count", [(5, 8, 50_000), (7, 40, 20_000), (10, 30, 20_000),
+                                                   (10, 300, 4000)])
+    def test_node_estimate_hits_the_exact_binomial_target(self, n, b_total, count):
+        # a good node g sources a task bound for the slow node from a block holding nodes 0 and g but
+        # not the slow node, as source 1 in 2, to destination 1 in n - 3: 3/(n(n-1)(n-2)) a block, and
+        # the blocks are independent, so g is degraded with P(Binomial(b_total, 3/(n(n-1)(n-2))) >= 2)
+        p = Fraction(3, n * (n - 1) * (n - 2))
+        target = float(1 - (1 - p) ** b_total - b_total * p * (1 - p) ** (b_total - 1))
+        if (n, b_total) == (5, 8):
+            assert round(target, 7) == 0.0572447  # the exact enumeration of the protocol law
+        node = run_protocol_trials(n, b_total, count, master_seed=1)[NODE_DEGRADE]
+        assert node.trials == count * (n - 2)
+        sigma = math.sqrt(target * (1 - target) / node.trials)
+        assert abs(node.point_estimate - target) <= 4 * sigma
 
     def test_lost_count_concentrates(self):
         # the crashed node holds each of 1000 blocks with probability 3/10
