@@ -30,15 +30,19 @@ placed block i at [3i, 3i+3) (its three raw replica indices), then the k-th
 lost block in block-id order, k = 0, 1, ..., at 3*b_total + 2k (source coin)
 and 3*b_total + 2k + 1 (destination rank).  The protocol layout is pinned
 by a per-trial replay in tests/test_trials.py that reads it through
-:class:`TrialStream` and applies the protocol rules block by block.  The
-protocol kernel reads the placement positions as raw 64-bit values
-(:func:`raws_into`, into buffers it reuses) and tests them against exact
-integer thresholds instead of uniforms: same positions, same values.  It
-reads a lost block's source coin only where its destination rank picks the
-slow node, the only case the coin can change an outcome.
+:class:`TrialStream` and applies the protocol rules block by block.
+
+Every sampler decision that is a yes or no, u < x or index(u, k) == 0, reads
+the raw 64-bit values (:func:`raws_np`, or :func:`raws_into` into buffers the
+caller reuses) and tests them against an exact integer threshold,
+:func:`uniform_limit` or :func:`index_limit`: the same positions give the same
+outcomes as the uniforms, without the shift and float conversion.  Uniforms
+are made only where an index is drawn.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -128,13 +132,39 @@ def to_uniforms(raws: np.ndarray) -> np.ndarray:
     return u
 
 
-def uniforms_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Vectorized uniforms; broadcasts states against positions.
+def raws_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Vectorized raw 64-bit values; broadcasts states against positions.
 
     Both arguments must be uint64 arrays (or broadcastable shapes thereof).
     """
     with np.errstate(over="ignore"):  # wraparound mod 2**64 is the algorithm
-        return to_uniforms(_avalanche_np(states + step_terms_np(positions)))
+        return _avalanche_np(states + step_terms_np(positions))
+
+
+def uniforms_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Vectorized uniforms: :func:`to_uniforms` of :func:`raws_np`."""
+    return to_uniforms(raws_np(states, positions))
+
+
+def uniform_limit(x: float) -> int:
+    """The raw values below this are the ones whose uniform is below x, for 0 <= x <= 1.
+
+    (raw >> 11) * 2**-53 < x iff raw >> 11 < x * 2**53, both sides exact, iff
+    raw < ceil(x * 2**53) << 11.  At x = 1 the limit is 2**64, which no uint64
+    holds: compare uint64 arrays with the Python int, which numpy does exactly.
+    """
+    return math.ceil(x * 2.0**53) << 11
+
+
+def index_limit(k: int) -> int:
+    """The raw values below this are the ones whose :func:`to_index` in range(k) is 0.
+
+    ((raw >> 11) * 2**-53) * k < 1.0 holds iff raw < ceil(2**53 / k) << 11:
+    with j = raw >> 11, fl(j * k) < 2**53 iff j * k < 2**53, because integers
+    below 2**53 are exact in float64.  At k = 1 the limit is 2**64, as in
+    :func:`uniform_limit`.
+    """
+    return -(-(1 << 53) // k) << 11
 
 
 def to_index(u: np.ndarray, bound: int) -> np.ndarray:

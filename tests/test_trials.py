@@ -8,6 +8,8 @@ master seed, so these tests are stable.
 
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -31,8 +33,18 @@ from limpprob import (
     run_rw_trials,
     trials,
 )
-from limpprob.rng import TrialStream, stream_uniform, to_index, to_uniforms, trial_state, trial_states_np, uniforms_np
-from limpprob.trials import _lost_limit, _node_target, _partition
+from limpprob.rng import (
+    TrialStream,
+    index_limit,
+    stream_uniform,
+    to_index,
+    to_uniforms,
+    trial_state,
+    trial_states_np,
+    uniform_limit,
+    uniforms_np,
+)
+from limpprob.trials import _node_target, _partition
 
 NODE_10_90 = 0.36110217217355966568
 CLUSTER_10_500 = 0.95789415572912219584
@@ -218,13 +230,13 @@ class TestDistinctTriples:
 
 
 class TestLostLimit:
-    """The kernel's integer lost-block test equals the float rule of _holds_node_zero."""
+    """The integer index-0 test equals the float rule ((raw >> 11) * 2**-53) * k < 1.0."""
 
     @pytest.mark.parametrize("ks", [range(3, 2001), [2**20, 10**6 + 3]])
     def test_integer_threshold_equals_the_float_rule(self, ks):
         noise = np.random.default_rng(8).integers(0, 2**64, size=64, dtype=np.uint64)
         for k in ks:
-            limit = _lost_limit(k)
+            limit = index_limit(k)
             c = limit >> 11
             assert c == math.ceil(Fraction(2**53, k)) and limit < 2**64
             edges = [limit - 1, limit, (c - 1) << 11, limit - (1 << 11), limit + (1 << 11), 0, 2**64 - 1]
@@ -233,6 +245,44 @@ class TestLostLimit:
             want = to_uniforms(raws.copy()) * k < 1.0
             assert np.array_equal(raws < np.uint64(limit), want), k
             assert want[0] and not want[1] and want[2]
+
+    def test_one_index_takes_every_raw(self):
+        # a write to a 3-node cluster always holds the slow node: its third index is in range(1)
+        raws = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+        assert index_limit(1) == 2**64 and (raws < index_limit(1)).all()
+        assert run_rw_trials("write", 3, 1, 50, master_seed=1).successes == 50
+
+
+# Every x a sampler compares a uniform with: the extremes, the coins, and q at integer and fractional loads;
+# q = 1.0 at (10, 36000), where the limit is 2**64
+_UNIFORM_XS = sorted({
+    0.0, 5e-324, 0.5, float(np.nextafter(1.0, 0.0)), 1.0,
+    *(2.0 / (n - 1) for n in (5, 10, 30, 50, 1001)),
+    *(_node_target(n, b) for n, b in ((10, 90), (50, 2450), (10, 14), (50, 490), (12, 22), (10, 36000))),
+})
+
+
+class TestUniformLimit:
+    """raw < uniform_limit(x) equals the float rule to_uniforms(raw) < x."""
+
+    @pytest.mark.parametrize("x", _UNIFORM_XS)
+    def test_integer_threshold_equals_the_float_rule(self, x):
+        limit = uniform_limit(x)
+        assert 0 <= limit <= 2**64 and limit % (1 << 11) == 0
+        raws = np.array([r for r in (limit - 1, limit, limit + 1, 0, 2**64 - 1) if 0 <= r < 2**64], dtype=np.uint64)
+        assert np.array_equal(raws < limit, to_uniforms(raws.copy()) < x), x
+
+    def test_extremes(self):
+        assert _node_target(10, 36000) == 1.0
+        assert uniform_limit(0.0) == 0 and uniform_limit(5e-324) == 1 << 11 and uniform_limit(1.0) == 2**64
+        assert uniform_limit(0.5) == 2**63
+
+    @given(x=st.floats(min_value=0.0, max_value=1.0), raw=st.integers(0, 2**64 - 1), near=st.integers(-4096, 4096))
+    @settings(max_examples=300, deadline=None)
+    def test_random_raws_and_thresholds(self, x, raw, near):
+        limit = uniform_limit(x)
+        raws = np.array([raw, min(max(limit + near, 0), 2**64 - 1)], dtype=np.uint64)
+        assert np.array_equal(raws < limit, to_uniforms(raws.copy()) < x)
 
 
 class TestNodeTarget:
@@ -260,8 +310,8 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("budget", [trials._CHUNK_ELEMS, 1 << 12])
     def test_no_uniform_array_exceeds_the_budget(self, monkeypatch, budget):
         monkeypatch.setattr(trials, "_CHUNK_ELEMS", budget)
-        # uniforms, the protocol kernel's reused hash buffers and its lost-block uniforms
-        largest = dict.fromkeys(("uniforms_np", "raws_into", "to_uniforms"), 0)
+        # raw values, uniforms, the protocol kernel's reused hash buffers and its lost-block uniforms
+        largest = dict.fromkeys(("raws_np", "uniforms_np", "raws_into", "to_uniforms"), 0)
         for name in largest:
             made = getattr(trials, name)
 
@@ -282,20 +332,39 @@ class TestMemoryBudget:
         assert 0 < min(largest.values()) and max(largest.values()) <= budget
         assert largest["raws_into"] <= budget >> 4  # one placement tile
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults as Linux does")
+    def test_protocol_batches_reuse_their_memory(self):
+        # 34 batches of 3 trials at (50, 40833): hash buffers made per batch, or a batch's arrays all freed
+        # at once, hand the heap back to the kernel and fault it in again, about 9,700 faults; reused, 800
+        code = (
+            "import resource\n"
+            "from limpprob.trials import run_protocol_trials\n"
+            "run_protocol_trials(50, 40833, 5, 1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_protocol_trials(50, 40833, 100, 1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(trials.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 2500
+
 
 def _draws_by_slot(monkeypatch, base, slots, run):
-    """Uniforms drawn at positions >= base while run() runs, counted by (position - base) % slots."""
+    """Raw values and uniforms drawn at positions >= base while run() runs, counted by (position - base) % slots."""
     drawn = np.zeros(slots, dtype=np.int64)
-    draw = trials.uniforms_np
+    for name in ("raws_np", "uniforms_np"):
+        draw = getattr(trials, name)
 
-    def counting(states, positions):
-        u = draw(states, positions)
-        pos = np.broadcast_to(positions, u.shape)
-        pos = pos[pos >= base].astype(np.int64) - base
-        drawn[:] += np.bincount(pos % slots, minlength=slots)
-        return u
+        def counting(states, positions, draw=draw):
+            u = draw(states, positions)
+            pos = np.broadcast_to(positions, u.shape)
+            pos = pos[pos >= base].astype(np.int64) - base
+            drawn[:] += np.bincount(pos % slots, minlength=slots)
+            return u
 
-    monkeypatch.setattr(trials, "uniforms_np", counting)
+        monkeypatch.setattr(trials, name, counting)
     run()
     return drawn
 
