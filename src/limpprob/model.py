@@ -14,6 +14,7 @@ except :func:`regen_load` which returns the raw per-node load.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 from .errors import LowLoadWarning
@@ -115,15 +116,19 @@ def node_degrade_prob(params: RegenParams) -> Probability:
     never pin both regeneration threads (at m = 1 the expression cancels
     algebraically; below 1 it would extrapolate negative).  Emits
     :class:`LowLoadWarning` whenever m < 2, where the "at least two of m
-    tasks" reading is already an extrapolation.
+    tasks" reading is already an extrapolation; the warning names the first
+    caller outside this module, also when another closed form called this one.
     """
     m = regen_load(params)
     if m < 2.0:
+        level, frame = 2, sys._getframe(1)
+        while frame.f_globals is globals():
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"per-node regeneration load m = {m:g} < 2 (n={params.n}, b={params.b}); "
             "the degraded-node probability extrapolates the two-task model",
             LowLoadWarning,
-            stacklevel=2,
+            stacklevel=level,
         )
     value = _at_least_two_hits(m, 1.0 / (params.n - 2))
     return Probability(_guarded_clamp(value, f"degraded-node probability (n={params.n}, b={params.b})"))

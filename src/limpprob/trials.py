@@ -55,20 +55,12 @@ from .rng import (
 )
 from .stats import EstimateSummary
 
-# The one memory budget: every transient uniform array holds at most this
-# many elements, and a protocol trial places at most a third as many blocks.
+# The one memory budget: every transient uniform array holds about this many
+# elements at most, and a protocol trial's expected lost blocks 60% of it.
 _CHUNK_ELEMS = 1 << 20
 _REGEN_METRICS = (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)
-
-
-def __getattr__(name: str):
-    """``ThreadPoolExecutor``, imported (and ``logging`` with it) only once a call splits or a caller asks."""
-    if name == "ThreadPoolExecutor":
-        from concurrent.futures import ThreadPoolExecutor
-
-        globals()[name] = ThreadPoolExecutor
-        return ThreadPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# A split call's pool type, if a tracer or a test sets one here; else concurrent.futures', imported on a split
+ThreadPoolExecutor = None
 
 
 def _partition(trials: int, workers: int, per_trial: int) -> list[tuple[int, int]]:
@@ -115,9 +107,8 @@ def _sample(counts, master_seed: int, trials: int, workers: int, per_trial: int,
     if len(parts) == 1:
         results = [run(parts[0])]
     else:
-        # a ThreadPoolExecutor a caller has set here (a tracer, a test) wins over the import
-        pool_type = globals().get("ThreadPoolExecutor") or __getattr__("ThreadPoolExecutor")
-        with pool_type(max_workers=len(parts)) as pool:
+        from concurrent.futures import ThreadPoolExecutor as default_pool
+        with (ThreadPoolExecutor or default_pool)(max_workers=len(parts)) as pool:
             results = list(pool.map(run, parts))
     totals = (map(sum, zip(*pairs)) for pairs in zip(*results))  # (successes, observations) per metric
     return {metric: EstimateSummary.from_counts(*total) for metric, total in zip(metrics, totals)}
@@ -162,8 +153,10 @@ def run_protocol_trials(
     1 iff the rank is 0 and node 1 holds no copy, so the coin is read only for
     tasks bound for node 1; rank and coin are read as raw values against their
     :func:`~limpprob.rng.index_limit` and :func:`~limpprob.rng.uniform_limit`.
-    b_total is capped at _CHUNK_ELEMS // 3 = 349,525 so that one trial's
-    lost-block arrays fit the memory budget, and n at _CHUNK_ELEMS.
+    n is capped at _CHUNK_ELEMS, and b_total by the stages' footprint: a trial's
+    expected 3 * b_total / n lost blocks may fill 60% of _CHUNK_ELEMS with raw
+    values, so b_total <= _CHUNK_ELEMS * n // 15 (349,525 at n = 5), and every n
+    up to 4,195, n = 1000 among them, runs at 50 * (n-1) lost blocks.
     """
     if not isinstance(n, int) or n < 5:
         raise InvalidParamsError(f"protocol trials need an integer n >= 5, got {n!r}")
@@ -171,8 +164,8 @@ def run_protocol_trials(
         raise InvalidParamsError(f"protocol trials take at most {_CHUNK_ELEMS} nodes, got {n}")
     if not isinstance(b_total, int) or b_total < 1:
         raise InvalidParamsError(f"need at least 1 block, got {b_total!r}")
-    if 3 * b_total > _CHUNK_ELEMS:
-        raise InvalidParamsError(f"protocol trials place at most {_CHUNK_ELEMS // 3} blocks, got {b_total}")
+    if b_total > (most := _CHUNK_ELEMS * n // 15):
+        raise InvalidParamsError(f"protocol trials place at most {most} blocks on {n} nodes, got {b_total}")
     # whole trials per stage: about _CHUNK_ELEMS >> 7 expected lost blocks, 3 * b_total / n per trial
     stage = max(1, min(_CHUNK_ELEMS // n, (_CHUNK_ELEMS >> 7) * n // (3 * b_total)))
     budget = _CHUNK_ELEMS >> 4  # placement hashes per tile

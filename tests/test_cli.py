@@ -226,6 +226,12 @@ class TestCompare:
         assert code == 2
         assert "place at most" in err
 
+    def test_default_load_runs_past_the_worst_case_cap(self, capsys):
+        # the default 50 * (n-1) load plants 352,833 blocks at n = 146, of which a trial expects 7,250 lost
+        code, _, err = _run(capsys, "compare", "--sim", "protocol", "--protocol", "regen-node", "--nodes", "146",
+                            "--trials", "2")
+        assert code in (0, 1), err
+
     def test_oversized_cluster_is_usage_error(self, capsys):
         # the protocol kernel's trials x nodes table would outgrow the memory budget
         code, _, err = _run(
@@ -337,7 +343,7 @@ class TestFigures:
 
     def test_failure_after_complete_panels_leaves_nothing(self, tmp_path, capsys, monkeypatch):
         # all eight panels have temp files, and the four read and write panels are complete, when the
-        # regeneration walk reaches n = 2000, whose 1,332,667 planted blocks exceed the protocol sampler's cap
+        # regeneration walk reaches n = 2**20 + 1, more nodes than the protocol sampler's node table takes
         temps = []
         mkstemp = tempfile.mkstemp
 
@@ -348,10 +354,10 @@ class TestFigures:
 
         monkeypatch.setattr(tempfile, "mkstemp", recording_mkstemp)
         out = tmp_path / "figs"
-        code, text, err = _run(capsys, "figures", "--mode", "both", "--sim", "protocol", "--nodes", "10,2000",
-                               "--trials", "2", "--out", str(out))
+        code, text, err = _run(capsys, "figures", "--mode", "both", "--sim", "protocol", "--nodes",
+                               f"10,{2**20 + 1}", "--trials", "2", "--out", str(out))
         assert (code, text) == (2, "")
-        assert "place at most" in err
+        assert "take at most" in err
         assert len(temps) == 8 and list(tmp_path.iterdir()) == []
 
 

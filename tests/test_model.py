@@ -6,6 +6,7 @@ split, cross-checked against the binomial factorial-moment identities).
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,15 @@ class TestRegenScalars:
     def test_low_load_warns(self):
         with pytest.warns(LowLoadWarning):
             node_degrade_prob(RegenParams(10, 17))  # m < 2
+
+    @pytest.mark.parametrize("closed_form", [node_degrade_prob, cluster_degrade_prob, block_degrade_breakdown,
+                                             any_block_degrade_prob])
+    def test_low_load_warning_names_the_caller(self, closed_form):
+        # so that filterwarnings(module=...) matches the caller, also where a form reaches node_degrade_prob
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            closed_form(RegenParams(10, 9))
+        assert [(w.category, w.filename) for w in caught] == [(LowLoadWarning, __file__)]
 
     def test_zero_exactly_whenever_load_at_most_one(self):
         for n, b in ((5, 4), (10, 9), (50, 49), (10, 3), (30, 0)):

@@ -133,6 +133,23 @@ class TestPartition:
         assert short[0][0] == 0 and short[-1][1] == 8 * chunks - 1
         assert chunks == 1 or min(hi - lo for lo, hi in short) >= 8
 
+    def test_split_call_uses_the_pool_set_on_the_module(self, split_calls, monkeypatch):
+        # a tracer hooks a split call's threads by setting trials.ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
+
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(trials, "ThreadPoolExecutor", RecordingPool)
+        want = run_rw_trials("read", 10, 5, 20_000, master_seed=3, workers=1)
+        assert pools == []
+        assert run_rw_trials("read", 10, 5, 20_000, master_seed=3, workers=4) == want
+        assert len(pools) == 1 and pools[0] > 1
+
 
 def _rw_reference(protocol, n, r, count, seed):
     """One request per iteration over all live trials: the loop run_rw_trials must match."""
@@ -605,7 +622,13 @@ class TestProtocolTrials:
             run_protocol_trials(10, 0, 10, master_seed=0)
         with pytest.raises(InvalidParamsError):
             run_protocol_trials(10, 10, 0, master_seed=0)
-        with pytest.raises(InvalidParamsError, match="place at most"):
-            run_protocol_trials(10, trials._CHUNK_ELEMS // 3 + 1, 1, master_seed=0)
         with pytest.raises(InvalidParamsError, match="take at most"):
             run_protocol_trials(trials._CHUNK_ELEMS + 1, 1, 1, master_seed=0)
+
+    @pytest.mark.parametrize("n, most", [(5, 349_525), (10, 699_050)])
+    def test_placement_cap_follows_the_expected_lost_blocks(self, n, most):
+        # a trial is refused when its expected lost blocks' 9 * b_total / n raw values pass 60% of the budget
+        lost = run_protocol_trials(n, most, 1, master_seed=0)[BLOCK_DEGRADE].trials
+        assert abs(lost - 3 * most / n) <= 2_000
+        with pytest.raises(InvalidParamsError, match=f"place at most {most} blocks"):
+            run_protocol_trials(n, most + 1, 1, master_seed=0)
