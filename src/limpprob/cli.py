@@ -13,10 +13,12 @@ Subcommands (``_COMMANDS`` holds each one's handler, help and flags):
 
 A subcommand takes only the flags it reads; each flag is a config key with one
 ``_FLAGS`` row.  ``_effective`` converts and checks every key, whichever command
-reads it (a bad ``--blocks`` fails ``sweep --protocol read``), and turns the
-grid keys into int lists, as ``--show-config`` prints them, or a node range
-into a ``range``: a node range holds at most 1,000,000 values and a grid value
-is at most 2**53.
+reads it (a bad ``--blocks`` fails ``sweep --protocol read``, and a config's
+unknown ``protocol`` fails ``figures``).  It keeps ``protocol`` as a comma list of
+known names, each once and stripped (``model`` and ``sweep`` take exactly one),
+and turns the grid keys into ascending int lists, or a node range into a
+``range``: a node range holds at most 1,000,000 values and a grid value is at
+most 2**53.  ``--show-config`` prints those normalised values.
 
 Every command reaches each mechanism one way: closed forms through the
 ``_ANALYTIC`` table, samplers through ``_estimates`` (``compare`` memoises it,
@@ -44,8 +46,8 @@ CSV schema (exact column order)::
 
 Analytic rows leave ci_low/ci_high/trials/seed empty; values carry 12
 significant digits; rows come in (protocol, n, r_or_b, source, metric) order
-because each command walks its grid in that order (``_grid``, also for ``model``
-and the ``compare`` table).  ``_write_csvs`` streams one walk of (path, row) pairs
+because each command walks its ascending grid lists in that order (``_grid``,
+also for ``model`` and the ``compare`` table).  ``_write_csvs`` streams one walk of (path, row) pairs
 into a temp file per path and renames those only once the walk is complete: flat
 memory, and no file on error.
 """
@@ -214,8 +216,8 @@ def _write_csv(path: str, rows) -> int:
 
 
 def _parse_grid(key: str, text) -> list[int] | range:
-    """A grid value as ints: an int, a comma list 'A,B,C' or a JSON list (a repeated value is kept once);
-    nodes also take a range 'A..B:S' or 'A..B', kept as a range so that it costs no memory per value."""
+    """A grid value as ascending ints: an int, a comma list 'A,B,C' or a JSON list, sorted with a repeated value
+    kept once; nodes also take a range 'A..B:S' or 'A..B', kept as a range so that it costs no memory per value."""
     if key == "nodes" and isinstance(text, str) and ".." in text:
         span, _, stride_s = text.strip().partition(":")
         lo_s, _, hi_s = span.partition("..")
@@ -228,7 +230,7 @@ def _parse_grid(key: str, text) -> list[int] | range:
             raise InvalidParamsError(f"node range {text!r} holds {len(nodes)} values, more than 1000000")
         return nodes
     parts = text if isinstance(text, (list, tuple)) else [p for p in str(text).split(",") if p.strip()]
-    values = list(dict.fromkeys(_grid_value(key, v) for v in parts))
+    values = sorted({_grid_value(key, v) for v in parts})
     if not values:
         raise InvalidParamsError(f"empty {key} list {text!r}")
     return values
@@ -281,6 +283,14 @@ def _effective(args: argparse.Namespace, command_defaults: dict) -> dict:
     for key in ("protocol", "figure", "mode", "sim", "out"):
         if not isinstance(merged[key], (str, type(None))):
             raise InvalidParamsError(f"{key} must be a string, got {merged[key]!r}")
+    if merged["protocol"] is not None:  # a comma list, kept as one in the given order, each name once
+        names = [name.strip() for name in merged["protocol"].split(",") if name.strip()]
+        if not names:
+            raise InvalidParamsError(f"empty protocol list {merged['protocol']!r}")
+        for name in names:
+            if name not in PROTOCOLS:
+                raise InvalidParamsError(f"--protocol must be one of {sorted(PROTOCOLS)}, got {name!r}")
+        merged["protocol"] = ",".join(dict.fromkeys(names))
     for key in ("trials", "seed", "workers"):
         merged[key] = _integer(key, merged[key])
     merged["seed"] &= (1 << 64) - 1
@@ -305,26 +315,15 @@ def _effective(args: argparse.Namespace, command_defaults: dict) -> dict:
     return merged
 
 
-def _check_protocol(name) -> str:
-    if name not in PROTOCOLS:
-        raise InvalidParamsError(f"--protocol must be one of {sorted(PROTOCOLS)}, got {name!r}")
-    return name
-
-
-def _ascending(values):
-    """A grid list sorted, or a node range as it is: ascending by construction, and never expanded."""
-    return values if isinstance(values, range) else sorted(values)
-
-
 def _grid(cfg: dict, protocol: str, factors=_BLOCK_FACTORS):
-    """Yield the (n, r_or_b) points of the configured grid for one protocol in ascending order, the CSV's;
-    b defaults to (n-1) * factors."""
-    for n in _ascending(cfg["nodes"]):
+    """Yield the (n, r_or_b) points of the configured grid for one protocol in ascending order, the CSV's, as
+    _effective sorted the grid lists; b defaults to (n-1) * factors."""
+    for n in cfg["nodes"]:
         if PROTOCOLS[protocol][0] == "r":
             values = cfg["requests"]
         else:
             values = cfg["blocks"] or [(n - 1) * k for k in factors]
-        for v in sorted(values):
+        for v in values:
             yield n, v
 
 
@@ -351,7 +350,9 @@ def _point_rows(cfg: dict, estimates, protocol: str, metrics, points):
 
 
 def cmd_model(cfg: dict) -> int:
-    protocol = _check_protocol(cfg["protocol"])
+    protocol = cfg["protocol"]
+    if protocol not in PROTOCOLS:  # None, or a list of several
+        raise InvalidParamsError(f"model needs exactly one --protocol, got {protocol!r}")
     if len(cfg["nodes"]) != 1:
         raise InvalidParamsError("model needs exactly one --nodes value")
     n = cfg["nodes"][0]
@@ -369,7 +370,9 @@ def cmd_model(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    protocol = _check_protocol(cfg["protocol"])
+    protocol = cfg["protocol"]
+    if protocol not in PROTOCOLS:  # None, or a list of several
+        raise InvalidParamsError(f"sweep needs exactly one --protocol, got {protocol!r}")
     if not cfg["out"]:
         raise InvalidParamsError("sweep needs --out PATH")
     # the walk never repeats a point, so each estimate is dropped once its row is written
@@ -378,23 +381,16 @@ def cmd_sweep(cfg: dict) -> int:
     return 0
 
 
-def _compare_protocols(cfg: dict) -> list[str]:
-    raw = cfg["protocol"]
-    if raw is not None:
-        protocols = list(dict.fromkeys(_check_protocol(p.strip()) for p in raw.split(",") if p.strip()))
-        if not protocols:
-            raise InvalidParamsError(f"empty protocol list {raw!r}")
-        return protocols
-    if cfg["sim"] == "protocol":
+def cmd_compare(cfg: dict) -> int:
+    if cfg["protocol"] is not None:
+        protocols = cfg["protocol"].split(",")
+    elif cfg["sim"] == "protocol":
         # the closed form for "at least one degraded block" assumes blocks
         # degrade independently; full protocol replays expose that assumption,
         # so the any-block metric is not gated by default in protocol mode
-        return ["read", "write", "regen-node", "regen-cluster", "regen-block"]
-    return list(PROTOCOLS)
-
-
-def cmd_compare(cfg: dict) -> int:
-    protocols = _compare_protocols(cfg)
+        protocols = ["read", "write", "regen-node", "regen-cluster", "regen-block"]
+    else:
+        protocols = list(PROTOCOLS)
     estimates = _memoised_estimates()
     tolerance = cfg["tolerance"]
     lines: list[str] = []
@@ -446,8 +442,8 @@ def _figure_panels(cfg: dict):
     walks = []  # (panel, its rows) of the read and write panels
     for figure in figures:
         if figure in ("read", "write"):
-            requests = {*cfg["requests"], _WRITE_R_ANCHOR} if figure == "write" else cfg["requests"]
-            nodes = ((n, None) for n in _ascending(cfg["nodes"]))
+            requests = sorted({*cfg["requests"], _WRITE_R_ANCHOR}) if figure == "write" else cfg["requests"]
+            nodes = ((n, None) for n in cfg["nodes"])
             points = _grid({**cfg, "requests": requests}, figure)
             walks += [
                 (f"{figure}_request_prob", _point_rows(cfg, _estimates, figure, [f"{figure}_degrade"], nodes)),

@@ -12,9 +12,9 @@ order, chunking, or worker count.  The construction, bit-exactly:
     uniform(state, pos)    = (raw(state, pos) >> 11) * 2.0**-53      in [0, 1)
 
 The avalanche function and golden-ratio increment are the SplitMix64
-finalizer and step constants, used here in counter mode.  Scalar (pure
-Python) and vectorized (numpy uint64) evaluations produce identical bits;
-tests pin both.
+finalizer and step constants, used here in counter mode.  This module holds
+the vectorized (numpy uint64) evaluation only; the scalar (pure Python)
+reference lives in the tests, which pin the two to identical bits.
 
 A position's value depends on nothing but (state, position): never on which
 other positions were read, or in what order.  So a sampler may read any
@@ -48,41 +48,16 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
-_MIX_A = 0xBF58476D1CE4E5B9
-_MIX_B = 0x94D049BB133111EB
 
 _U_GOLDEN = np.uint64(GOLDEN)
-_U_MIX_A = np.uint64(_MIX_A)
-_U_MIX_B = np.uint64(_MIX_B)
+_U_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
+_U_MIX_B = np.uint64(0x94D049BB133111EB)
 _U_ONE = np.uint64(1)
 _SH30 = np.uint64(30)
 _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
 _INV53 = 2.0 ** -53
-
-
-def avalanche(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit integer (pure Python)."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX_A) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & MASK64
-    return z ^ (z >> 31)
-
-
-def trial_state(master_seed: int, trial_index: int) -> int:
-    """Base stream state for one trial."""
-    return avalanche((master_seed + (trial_index + 1) * GOLDEN) & MASK64)
-
-
-def stream_raw(state: int, position: int) -> int:
-    """The 64-bit value at one stream position."""
-    return avalanche((state + (position + 1) * GOLDEN) & MASK64)
-
-
-def stream_uniform(state: int, position: int) -> float:
-    """Uniform in [0, 1) at one stream position."""
-    return (stream_raw(state, position) >> 11) * _INV53
 
 
 def _avalanche_np(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -186,7 +161,7 @@ class TrialStream:
     """Sequential view of one trial's stream.
 
     ``uniforms(k)`` returns the uniforms at the next k positions, equal to
-    :func:`stream_uniform` at those positions, and advances the counter by k.
+    :func:`uniforms_np` at those positions, and advances the counter by k.
     Rebuilding a stream from the same (master_seed, trial_index) replays
     identical values.
     """
@@ -194,7 +169,7 @@ class TrialStream:
     __slots__ = ("state", "position")
 
     def __init__(self, master_seed: int, trial_index: int = 0):
-        self.state = trial_state(master_seed, trial_index)
+        self.state = trial_states_np(master_seed, np.array([trial_index]))[0]
         self.position = 0
 
     def uniforms(self, count: int) -> np.ndarray:

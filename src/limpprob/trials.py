@@ -94,6 +94,10 @@ def _sample(counts, master_seed: int, trials: int, workers: int, per_trial: int,
     """
     if not isinstance(trials, int) or trials < 1:
         raise InvalidParamsError(f"need at least 1 trial, got {trials!r}")
+    if not isinstance(workers, int) or workers < 1:
+        raise InvalidParamsError(f"need at least 1 worker, got {workers!r}")
+    if not isinstance(master_seed, int):
+        raise InvalidParamsError(f"master_seed must be an integer, got {master_seed!r}")
 
     def run(part: tuple[int, int]) -> list[tuple[int, int]]:
         batches = (trial_states_np(master_seed, np.arange(lo, min(part[1], lo + batch), dtype=np.int64))
@@ -244,6 +248,15 @@ def _node_target(n: int, b: int) -> float:
     return (1.0 - frac) * _at_least_two_hits(kf, p) + frac * _at_least_two_hits(kf + 1, p)
 
 
+def _gated(states: np.ndarray, firsts: np.ndarray, slot: int, limit: int, then) -> np.ndarray:
+    """(states, firsts) flags: the raw value at firsts + slot is below limit, and then(states, firsts) holds,
+    drawn only for the (trial, element) pairs that passed the first test, as two gathered vectors."""
+    hit = raws_np(states[:, None], firsts + slot) < limit
+    trial, element = np.nonzero(hit)
+    hit[trial, element] = then(states[trial], firsts[element])
+    return hit
+
+
 def _count_hit_trials(alive: np.ndarray, count: int, base: int, slots: int, hits) -> int:
     """How many of the trials with states alive have at least one of count elements hit.
 
@@ -291,13 +304,9 @@ def run_assumption_trials(
     rows, cols = max(1, _CHUNK_ELEMS // good), min(good, _CHUNK_ELEMS)  # node pass chunks
 
     def block_degraded(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-        # holder 1 degraded, and holder 2 the slow node (odds 2/(n-1)) or degraded;
-        # the coin and holder 2 are drawn only where holder 1 is degraded
-        hit = raws_np(states[:, None], firsts + 1) < q_limit
-        trial, block = np.nonzero(hit)
-        states, firsts = states[trial], firsts[block]
-        hit[trial, block] = (raws_np(states, firsts) < coin_limit) | (raws_np(states, firsts + 2) < q_limit)
-        return hit
+        # holder 1 degraded, and then holder 2 the slow node (odds 2/(n-1)) or degraded
+        return _gated(states, firsts, 1, q_limit,
+                      lambda s, f: (raws_np(s, f) < coin_limit) | (raws_np(s, f + 2) < q_limit))
 
     def counts(batches):
         for states in batches:
@@ -349,10 +358,8 @@ def run_rw_trials(
         return _holds_node_zero(*(raws_np(states, firsts + k) for k in range(3)), n)
 
     def read_touched(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-        hit = raws_np(states[:, None], firsts + 3) < index_limit(3)
-        trial, request = np.nonzero(hit)
-        hit[trial, request] = holds_slow(states[trial], firsts[request])
-        return hit
+        # the replica choice picks the first replica, and then the placement holds the slow node
+        return _gated(states, firsts, 3, index_limit(3), holds_slow)
 
     # a trial stops at its first slow request, expected after 1/p requests: p = 1/n a read, 3/n a write
     if protocol == "read":

@@ -131,6 +131,12 @@ class TestSweep:
         assert code == 2
         assert "out" in err
 
+    def test_protocol_name_is_stripped_as_in_compare(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = _run(capsys, "sweep", "--protocol", " read", "--nodes", "10", "--out", str(out))
+        assert code == 0, err
+        assert {row[0] for row in _read_rows(out)} == {"read"}
+
     def test_unwritable_path_is_io_error(self, capsys):
         code, _, err = _run(
             capsys, "sweep", "--protocol", "read", "--requests", "1",
@@ -333,6 +339,15 @@ class TestFigures:
         assert code == 0
         assert len(calls) == len(set(calls)) == 5
 
+    def test_unknown_protocol_in_config_is_usage_error(self, tmp_path, capsys):
+        # figures reads no protocol, but the config's keys are checked whichever command reads them
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"protocol": "bogus"}))
+        out = tmp_path / "figs"
+        code, text, err = _run(capsys, "figures", "--config", str(config), "--nodes", "10", "--out", str(out))
+        assert (code, text) == (2, "")
+        assert "--protocol must be one of" in err and not out.exists()
+
     def test_failing_panel_writes_no_file(self, tmp_path, capsys):
         # the read and write panels accept n = 4; the regeneration panels do not
         out = tmp_path / "figs"
@@ -386,6 +401,11 @@ class TestModelCommand:
         code, out, err = _run(capsys, "model", "--protocol", protocol, "--nodes", "10", "--config", str(config))
         assert (code, out) == (2, "")
         assert "requests must be an integer" in err
+
+    def test_needs_single_protocol(self, capsys):
+        code, out, err = _run(capsys, "model", "--protocol", "read,write", "--nodes", "10")
+        assert (code, out) == (2, "")
+        assert "exactly one --protocol" in err
 
     def test_invalid_cluster_size(self, capsys):
         code, _, err = _run(capsys, "model", "--protocol", "regen-node", "--nodes", "4",
@@ -489,8 +509,18 @@ class TestConfig:
         code, out, _ = _run(capsys, "sweep", "--show-config", "--nodes", "10..30:10", "--requests", "5,1,5")
         assert code == 0
         cfg = json.loads(out)
-        assert (cfg["nodes"], cfg["requests"], cfg["blocks"]) == ([10, 20, 30], [5, 1], None)
+        assert (cfg["nodes"], cfg["requests"], cfg["blocks"]) == ([10, 20, 30], [1, 5], None)
         assert cfg["protocol"] is None and cfg["figure"] is None
+
+    def test_show_config_refuses_unknown_protocol(self, capsys):
+        code, out, err = _run(capsys, "sweep", "--protocol", "bogus", "--show-config")
+        assert (code, out) == (2, "")
+        assert "--protocol must be one of" in err
+
+    def test_show_config_prints_normalised_protocol_list(self, capsys):
+        code, out, _ = _run(capsys, "compare", "--protocol", " write, read,write", "--show-config")
+        assert code == 0
+        assert json.loads(out)["protocol"] == "write,read"
 
     def test_config_file_supplies_values_and_cli_wins(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

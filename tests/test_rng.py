@@ -4,17 +4,14 @@ import pytest
 from limpprob.rng import (
     TrialStream,
     advance_np,
-    avalanche,
     raws_into,
     step_terms_np,
-    stream_raw,
-    stream_uniform,
     to_index,
     to_uniforms,
-    trial_state,
     trial_states_np,
     uniforms_np,
 )
+from stream_ref import avalanche, stream_raw, stream_uniform, trial_state
 
 # SplitMix64 reference sequence for seed 0 (first outputs of the canonical
 # generator, which this counter construction reproduces position by position).

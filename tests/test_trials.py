@@ -36,15 +36,14 @@ from limpprob import (
 from limpprob.rng import (
     TrialStream,
     index_limit,
-    stream_uniform,
     to_index,
     to_uniforms,
-    trial_state,
     trial_states_np,
     uniform_limit,
     uniforms_np,
 )
 from limpprob.trials import _node_target, _partition
+from stream_ref import stream_uniform, trial_state
 
 NODE_10_90 = 0.36110217217355966568
 CLUSTER_10_500 = 0.95789415572912219584
@@ -419,6 +418,25 @@ class TestChunking:
         want = run_all()
         monkeypatch.setattr(trials, "_CHUNK_ELEMS", 16)
         assert run_all() == want
+
+
+class TestSamplerInputs:
+    SAMPLERS = {
+        "rw": lambda **kw: run_rw_trials("read", 10, 5, 1000, **kw),
+        "assumption": lambda **kw: run_assumption_trials(RegenParams(10, 90), 1000, **kw),
+        "protocol": lambda **kw: run_protocol_trials(10, 30, 100, **kw),
+    }
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("kwargs", [
+        {"master_seed": 1, "workers": 0},
+        {"master_seed": 1, "workers": -3},
+        {"master_seed": 1, "workers": 2.5},
+        {"master_seed": 1.5},
+    ], ids=["workers-0", "workers-negative", "workers-fractional", "seed-fractional"])
+    def test_bad_workers_or_seed_is_refused(self, sampler, kwargs):
+        with pytest.raises(InvalidParamsError):
+            self.SAMPLERS[sampler](**kwargs)
 
 
 class TestRwTrials:
