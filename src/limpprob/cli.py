@@ -289,7 +289,7 @@ def _effective(args: argparse.Namespace, command_defaults: dict) -> dict:
             raise InvalidParamsError(f"empty protocol list {merged['protocol']!r}")
         for name in names:
             if name not in PROTOCOLS:
-                raise InvalidParamsError(f"--protocol must be one of {sorted(PROTOCOLS)}, got {name!r}")
+                raise InvalidParamsError(f"protocol must be one of {sorted(PROTOCOLS)}, got {name!r}")
         merged["protocol"] = ",".join(dict.fromkeys(names))
     for key in ("trials", "seed", "workers"):
         merged[key] = _integer(key, merged[key])

@@ -8,7 +8,8 @@ p = 1/(n-2); a good node is degraded once two of its (two) regeneration
 threads are stuck sending to the slow node.
 
 All functions are pure and return :class:`Probability` (a validated float),
-except :func:`regen_load` which returns the raw per-node load.
+except :func:`regen_load` (the raw per-node load) and the samplers' limits per
+metric, :func:`assumption_targets` and :func:`protocol_targets`.
 """
 
 from __future__ import annotations
@@ -146,6 +147,19 @@ def _at_least_two_hits(m: float, p: float) -> float:
     return 1.0 - none - one
 
 
+def _node_target(n: int, b: int) -> float:
+    """The assumption sampler's per-node degrade probability q.
+
+    q = (1-frac)*T2(floor(m)) + frac*T2(floor(m)+1) with T2(k) = P(Bin(k, 1/(n-2)) >= 2)
+    is the law of floor(m) + Bernoulli(frac(m)) tasks, m = b/(n-1).  It equals the
+    closed form at integer m only (n=10, b=14: q = 0.00868, closed form 0.00702).
+    """
+    kf, rem = divmod(b, n - 1)
+    frac = rem / (n - 1)
+    p = 1.0 / (n - 2)
+    return (1.0 - frac) * _at_least_two_hits(kf, p) + frac * _at_least_two_hits(kf + 1, p)
+
+
 def cluster_degrade_prob(params: RegenParams) -> Probability:
     """Chance every good node is degraded at once: node probability to the power n-2."""
     return Probability(node_degrade_prob(params) ** (params.n - 2))
@@ -216,8 +230,13 @@ def block_degrade_breakdown(params: RegenParams) -> BlockDegradeBreakdown:
     2e-8 at n = 1e7); at large n the 12 printed digits overstate the
     accuracy.
     """
+    return _breakdown_at(params, node_degrade_prob(params))
+
+
+def _breakdown_at(params: RegenParams, q: float) -> BlockDegradeBreakdown:
+    """The per-block split when good nodes degrade independently with probability q."""
     n = params.n
-    lo, mass = _binomial_window(n - 2, node_degrade_prob(params))
+    lo, mass = _binomial_window(n - 2, q)
     pairs = math.comb(n - 1, 2)
     both = 0.0
     one_slow = 0.0
@@ -239,3 +258,23 @@ def any_block_degrade_prob(params: RegenParams) -> Probability:
         return Probability(0.0)
     per_block = block_degrade_breakdown(params).total
     return Probability(_stable_complement_power(per_block, params.b))
+
+
+def assumption_targets(params: RegenParams) -> dict[str, float]:
+    """The limits of :func:`~limpprob.trials.run_assumption_trials` per metric, exact at every b.
+
+    Its good nodes degrade independently at q = _node_target(n, b): the paper's forms at q.
+    """
+    q = _node_target(params.n, params.b)
+    per_block = _breakdown_at(params, q).total
+    return {NODE_DEGRADE: q, CLUSTER_DEGRADE: q ** (params.n - 2), BLOCK_DEGRADE: per_block,
+            ANY_BLOCK_DEGRADE: _stable_complement_power(per_block, params.b)}
+
+
+def protocol_targets(n: int, b_total: int) -> dict[str, float]:
+    """The known exact limits of :func:`~limpprob.trials.run_protocol_trials`; no key, no target.
+
+    A good node sources a task bound for the slow node from each placed block independently
+    with odds 3/(n(n-1)(n-2)), so node_degrade is P(Binomial(b_total, 3/(n(n-1)(n-2))) >= 2).
+    """
+    return {NODE_DEGRADE: _at_least_two_hits(b_total, 3 / (n * (n - 1) * (n - 2)))}

@@ -10,8 +10,8 @@ Three flavors:
 * :func:`run_assumption_trials` samples the closed-form model's own
   assumptions (good nodes degrade independently, block copies land on a
   uniform survivor pair, blocks are independent), so its estimates converge
-  to the closed forms at integer load m = b/(n-1) and to
-  :func:`_node_target` at fractional m.
+  to :func:`limpprob.model.assumption_targets`: the closed forms at integer
+  load m = b/(n-1), the same path at the node probability q at fractional m.
 * :func:`run_rw_trials` samples read/write request streams.
 
 Each sampler checks its inputs and hands a ``counts(batches)`` to
@@ -39,7 +39,7 @@ import os
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import ANY_BLOCK_DEGRADE, BLOCK_DEGRADE, CLUSTER_DEGRADE, NODE_DEGRADE, _at_least_two_hits
+from .model import ANY_BLOCK_DEGRADE, BLOCK_DEGRADE, CLUSTER_DEGRADE, NODE_DEGRADE, _node_target
 from .params import ClusterParams, RegenParams, WorkloadParams
 from .rng import (
     advance_np,
@@ -235,19 +235,6 @@ def run_protocol_trials(
     return _sample(counts, master_seed, trials, workers, 3 * b_total, stage, _REGEN_METRICS)
 
 
-def _node_target(n: int, b: int) -> float:
-    """The assumption sampler's per-node degrade probability q.
-
-    q = (1-frac)*T2(floor(m)) + frac*T2(floor(m)+1) with T2(k) = P(Bin(k, 1/(n-2)) >= 2)
-    is the law of floor(m) + Bernoulli(frac(m)) tasks, m = b/(n-1).  It equals the
-    closed form at integer m only (n=10, b=14: q = 0.00868, closed form 0.00702).
-    """
-    kf, rem = divmod(b, n - 1)
-    frac = rem / (n - 1)
-    p = 1.0 / (n - 2)
-    return (1.0 - frac) * _at_least_two_hits(kf, p) + frac * _at_least_two_hits(kf + 1, p)
-
-
 def _gated(states: np.ndarray, firsts: np.ndarray, slot: int, limit: int, then) -> np.ndarray:
     """(states, firsts) flags: the raw value at firsts + slot is below limit, and then(states, firsts) holds,
     drawn only for the (trial, element) pairs that passed the first test, as two gathered vectors."""
@@ -286,16 +273,17 @@ def run_assumption_trials(
     """Estimate the regeneration metrics by sampling the model's assumptions.
 
     Per trial, each of the n-2 good nodes is degraded when one uniform falls
-    below q (:func:`_node_target`), the exact law of >= 2 slow hits among
-    floor(m) + Bernoulli(frac(m)) copy tasks.  The cluster indicator needs
-    all good nodes degraded.  The per-block indicator places the block's two
-    surviving copies on a uniform pair of the n-1 survivors and checks the
-    degraded-block predicate against the trial's node indicators.  The
-    any-block indicator draws, for each of the b blocks, fresh independent
-    indicators for its holders, mirroring the independence the closed form
-    assumes across blocks.  The stream layout is in :mod:`limpprob.rng`; each
-    u < q and u < 2/(n-1) is read as a raw value against its
-    :func:`~limpprob.rng.uniform_limit`.
+    below q, the exact law of >= 2 slow hits among floor(m) +
+    Bernoulli(frac(m)) copy tasks, so the estimates converge to
+    :func:`limpprob.model.assumption_targets` at every b.  The cluster
+    indicator needs all good nodes degraded.  The per-block indicator places
+    the block's two surviving copies on a uniform pair of the n-1 survivors
+    and checks the degraded-block predicate against the trial's node
+    indicators.  The any-block indicator draws, for each of the b blocks,
+    fresh independent indicators for its holders, mirroring the independence
+    the closed form assumes across blocks.  The stream layout is in
+    :mod:`limpprob.rng`; each u < q and u < 2/(n-1) is read as a raw value
+    against its :func:`~limpprob.rng.uniform_limit`.
     """
     n, b = params.n, params.b
     good = n - 2

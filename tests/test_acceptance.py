@@ -33,8 +33,7 @@ from limpprob import (
     write_user_degrade_prob,
 )
 from limpprob.cli import main
-from limpprob.model import _binomial_window
-from limpprob.trials import _node_target
+from limpprob.model import _binomial_window, assumption_targets
 
 SEED = 20240917
 
@@ -136,10 +135,11 @@ def test_criterion_5_assumption_faithful_convergence():
             })
     # the near-certain cluster-degrade anchor
     check(10, 500, {CLUSTER_DEGRADE: cluster_degrade_prob(RegenParams(10, 500))})
-    # fractional load m = b/(n-1): the sampler's exact target q, not the
-    # real-exponent closed form (0.00868 vs 0.00702 at n=10, b=14)
-    for n, b in ((10, 14), (10, 50), (30, 100)):
-        check(n, b, {NODE_DEGRADE: _node_target(n, b)})
+    # fractional load m = b/(n-1): the sampler's own law, at node probability q,
+    # not the real-exponent closed forms (node 0.00868 vs 0.00702 at n=10, b=14);
+    # (5, 13) has a visible cluster value, 0.026
+    for n, b in ((5, 13), (10, 14), (10, 50), (30, 100)):
+        check(n, b, assumption_targets(RegenParams(n, b)))
     _report("criterion 5 (assumption-faithful 4-sigma convergence)", failures, started, budget_s=120.0)
 
 

@@ -14,6 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limpprob import (
+    ANY_BLOCK_DEGRADE,
+    BLOCK_DEGRADE,
+    CLUSTER_DEGRADE,
+    NODE_DEGRADE,
     ClusterParams,
     LowLoadWarning,
     RegenParams,
@@ -32,7 +36,7 @@ from limpprob import (
     write_degrade_prob,
     write_user_degrade_prob,
 )
-from limpprob.model import _binomial_window
+from limpprob.model import _binomial_window, _node_target, assumption_targets
 
 # frozen independent-oracle values (mpmath, 50 digits)
 READ_USER_100_100 = 0.63396765872677049507
@@ -325,6 +329,42 @@ class TestAnyBlock:
         got = any_block_degrade_prob(RegenParams(100, 3200))
         assert got == pytest.approx(ANYBLOCK_100_3200, rel=1e-12)
         assert got >= 0.999
+
+
+class TestNodeTarget:
+    def test_integer_load_is_the_closed_form(self):
+        for n in (5, 10, 30, 50, 100, 150, 1000):
+            for k in (0, 1, 2, 3, 10, 50, 400):
+                want = node_degrade_prob(RegenParams(n, k * (n - 1)))
+                assert _node_target(n, k * (n - 1)) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_fractional_load_is_the_exact_mixture(self):
+        def at_least_two(k, p):
+            return sum(math.comb(k, i) * p**i * (1 - p) ** (k - i) for i in range(2, k + 1))
+
+        for n in (5, 6, 10, 13):
+            p = Fraction(1, n - 2)
+            for b in range(6 * (n - 1) + 1):
+                kf, rem = divmod(b, n - 1)
+                frac = Fraction(rem, n - 1)
+                want = (1 - frac) * at_least_two(kf, p) + frac * at_least_two(kf + 1, p)
+                assert _node_target(n, b) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        assert _node_target(10, 14) == pytest.approx(0.00868, abs=5e-6)
+
+    def test_integer_load_targets_are_the_paper_forms(self):
+        for n in (5, 10, 30, 50, 100, 150, 1000):
+            for k in (0, 1, 2, 3, 10, 50, 400):
+                params = RegenParams(n, k * (n - 1))
+                paper = {
+                    NODE_DEGRADE: node_degrade_prob(params),
+                    CLUSTER_DEGRADE: cluster_degrade_prob(params),
+                    BLOCK_DEGRADE: block_degrade_breakdown(params).total,
+                    ANY_BLOCK_DEGRADE: any_block_degrade_prob(params),
+                }
+                got = assumption_targets(params)
+                assert got.keys() == paper.keys()
+                for metric, want in paper.items():
+                    assert got[metric] == pytest.approx(want, rel=1e-12, abs=0.0), (n, k, metric)
 
 
 def test_frozen_constants_rederive_from_high_precision_oracle():

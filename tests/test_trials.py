@@ -27,7 +27,6 @@ from limpprob import (
     RegenParams,
     block_degrade_breakdown,
     enum_slow_dest_prob,
-    node_degrade_prob,
     run_assumption_trials,
     run_protocol_trials,
     run_rw_trials,
@@ -42,7 +41,8 @@ from limpprob.rng import (
     uniform_limit,
     uniforms_np,
 )
-from limpprob.trials import _node_target, _partition
+from limpprob.model import _node_target, protocol_targets
+from limpprob.trials import _partition
 from stream_ref import stream_uniform, trial_state
 
 NODE_10_90 = 0.36110217217355966568
@@ -299,27 +299,6 @@ class TestUniformLimit:
         limit = uniform_limit(x)
         raws = np.array([raw, min(max(limit + near, 0), 2**64 - 1)], dtype=np.uint64)
         assert np.array_equal(raws < limit, to_uniforms(raws.copy()) < x)
-
-
-class TestNodeTarget:
-    def test_integer_load_is_the_closed_form(self):
-        for n in (5, 10, 30, 50, 100, 150, 1000):
-            for k in (0, 1, 2, 3, 10, 50, 400):
-                want = node_degrade_prob(RegenParams(n, k * (n - 1)))
-                assert _node_target(n, k * (n - 1)) == pytest.approx(want, rel=1e-12, abs=0.0)
-
-    def test_fractional_load_is_the_exact_mixture(self):
-        def at_least_two(k, p):
-            return sum(math.comb(k, i) * p**i * (1 - p) ** (k - i) for i in range(2, k + 1))
-
-        for n in (5, 6, 10, 13):
-            p = Fraction(1, n - 2)
-            for b in range(6 * (n - 1) + 1):
-                kf, rem = divmod(b, n - 1)
-                frac = Fraction(rem, n - 1)
-                want = (1 - frac) * at_least_two(kf, p) + frac * at_least_two(kf + 1, p)
-                assert _node_target(n, b) == pytest.approx(float(want), rel=1e-12, abs=0.0)
-        assert _node_target(10, 14) == pytest.approx(0.00868, abs=5e-6)
 
 
 class TestMemoryBudget:
@@ -598,8 +577,10 @@ class TestProtocolTrials:
         # a good node g sources a task bound for the slow node from a block holding nodes 0 and g but
         # not the slow node, as source 1 in 2, to destination 1 in n - 3: 3/(n(n-1)(n-2)) a block, and
         # the blocks are independent, so g is degraded with P(Binomial(b_total, 3/(n(n-1)(n-2))) >= 2)
+        target = protocol_targets(n, b_total)[NODE_DEGRADE]
         p = Fraction(3, n * (n - 1) * (n - 2))
-        target = float(1 - (1 - p) ** b_total - b_total * p * (1 - p) ** (b_total - 1))
+        assert target == pytest.approx(float(1 - (1 - p) ** b_total - b_total * p * (1 - p) ** (b_total - 1)),
+                                       rel=1e-12, abs=0.0)
         if (n, b_total) == (5, 8):
             assert round(target, 7) == 0.0572447  # the exact enumeration of the protocol law
         node = run_protocol_trials(n, b_total, count, master_seed=1)[NODE_DEGRADE]
