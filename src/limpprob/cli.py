@@ -216,7 +216,7 @@ def _write_csv(path: str, rows) -> int:
 
 
 def _parse_grid(key: str, text) -> list[int] | range:
-    """A grid value as ascending ints: an int, a comma list 'A,B,C' or a JSON list, sorted with a repeated value
+    """A grid value as ascending ints: a number, a comma list 'A,B,C' or a JSON list, sorted with a repeated value
     kept once; nodes also take a range 'A..B:S' or 'A..B', kept as a range so that it costs no memory per value."""
     if key == "nodes" and isinstance(text, str) and ".." in text:
         span, _, stride_s = text.strip().partition(":")
@@ -229,7 +229,10 @@ def _parse_grid(key: str, text) -> list[int] | range:
         if len(nodes) > 1_000_000:
             raise InvalidParamsError(f"node range {text!r} holds {len(nodes)} values, more than 1000000")
         return nodes
-    parts = text if isinstance(text, (list, tuple)) else [p for p in str(text).split(",") if p.strip()]
+    if isinstance(text, str):
+        parts = [p for p in text.split(",") if p.strip()]
+    else:  # a JSON number is one element, as in a list
+        parts = text if isinstance(text, list) else [text]
     values = sorted({_grid_value(key, v) for v in parts})
     if not values:
         raise InvalidParamsError(f"empty {key} list {text!r}")
@@ -384,13 +387,10 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_compare(cfg: dict) -> int:
     if cfg["protocol"] is not None:
         protocols = cfg["protocol"].split(",")
-    elif cfg["sim"] == "protocol":
-        # the closed form for "at least one degraded block" assumes blocks
-        # degrade independently; full protocol replays expose that assumption,
-        # so the any-block metric is not gated by default in protocol mode
-        protocols = ["read", "write", "regen-node", "regen-cluster", "regen-block"]
     else:
-        protocols = list(PROTOCOLS)
+        # the any-block closed form assumes blocks degrade independently, which full protocol
+        # replays do not, so protocol mode leaves regen-any-block out of its default gate
+        protocols = [p for p in PROTOCOLS if cfg["sim"] != "protocol" or p != "regen-any-block"]
     estimates = _memoised_estimates()
     tolerance = cfg["tolerance"]
     lines: list[str] = []

@@ -12,26 +12,23 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceededError, InvalidParamsError
+from .errors import BudgetExceededError
+from .params import ClusterParams, RegenParams
 
 # Above this the enumerations stop being instant and add nothing: the same
 # closed forms have been certified for every smaller n already.
 MAX_ENUM_NODES = 16
 
 
-def _check_n(n: int, minimum: int) -> None:
-    if not isinstance(n, int) or n < minimum:
-        raise InvalidParamsError(f"enumeration needs an integer n >= {minimum}, got {n!r}")
-    if n > MAX_ENUM_NODES:
-        raise BudgetExceededError(
-            f"enumeration budget is n <= {MAX_ENUM_NODES}, got {n}"
-        )
+def _check_n(params: ClusterParams | RegenParams) -> None:
+    if params.n > MAX_ENUM_NODES:
+        raise BudgetExceededError(f"enumeration budget is n <= {MAX_ENUM_NODES}, got {params.n}")
 
 
 def enum_read_prob(n: int) -> Fraction:
     """Exact chance a read hits the slow node, by enumerating all C(n,3)
     replica placements and all 3 uniform replica choices.  Equals 1/n."""
-    _check_n(n, 3)
+    _check_n(ClusterParams(n))
     slow = 0
     hits = 0
     total = 0
@@ -46,7 +43,7 @@ def enum_read_prob(n: int) -> Fraction:
 def enum_write_prob(n: int) -> Fraction:
     """Exact chance a 3-node write pipeline includes the slow node, by
     enumerating all C(n,3) pipelines.  Equals 3/n."""
-    _check_n(n, 3)
+    _check_n(ClusterParams(n))
     slow = 0
     pipelines = list(combinations(range(n), 3))
     hits = sum(1 for pipe in pipelines if slow in pipe)
@@ -61,7 +58,7 @@ def enum_slow_dest_prob(n: int) -> Fraction:
     the other n-2 nodes) and, when the slow node is not that holder, the
     uniform destination choice over the n-3 live non-holders.  Equals 1/(n-2).
     """
-    _check_n(n, 5)
+    _check_n(RegenParams(n, 0))
     slow, crashed, source = 0, 1, 2
     others = [v for v in range(n) if v not in (crashed, source)]
     assert len(others) == n - 2

@@ -4,6 +4,11 @@ The cluster under study has n datanodes, 3-way replication, exactly one slow
 node and (for regeneration) exactly one crashed node.  All derivations in
 :mod:`limpprob.model` are specific to replication factor 3, so no parameter
 type carries a replication factor.
+
+Every integer the library takes (a record field, a sampler's trials, workers
+and seed, an enumeration's n, a Wilson interval's counts) obeys one rule,
+:func:`_count`: it is exactly a Python ``int``, so ``bool`` and numpy integers
+raise InvalidParamsError.
 """
 
 from __future__ import annotations
@@ -13,30 +18,36 @@ import math
 from .errors import InvalidParamsError
 
 
+def _count(name: str, value, minimum: int | None = None) -> None:
+    """Raise InvalidParamsError naming the input unless value is exactly an int of at least minimum, if given."""
+    if type(value) is not int or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidParamsError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 class Record:
     """An immutable record whose fields are the names its class lists in ``__slots__``.
 
     A subclass takes its fields by position or keyword, in ``__slots__`` order,
-    then runs ``_check``.  Records refuse assignment, compare, hash and print by
-    field, and can be weakly referenced.  ``dataclasses`` builds the same at
-    import time, but loads ``inspect`` and ``ast`` to do it, about 10 ms of
-    every CLI start.
+    and checks the ones its ``_counts`` lists by :func:`_count`.  Records refuse
+    assignment, compare, hash and print by field, and can be weakly referenced.
+    ``dataclasses`` builds the same at import time, but loads ``inspect`` and
+    ``ast`` to do it, about 10 ms of every CLI start.
     """
 
     __slots__ = ("__weakref__",)
+    _counts: dict[str, tuple[str, int]] = {}  # field -> (its name in an error, its minimum)
 
     def __init_subclass__(cls) -> None:
         # a generated __init__, as dataclasses and namedtuple make one: a generic
         # *args loop costs about 0.5 us more per record, and the CLI makes one or
         # two records per analytic row
         names = ", ".join(cls.__slots__)
+        checks = "".join(f"    _count({what!r}, {name}, {least})\n" for name, (what, least) in cls._counts.items())
         sets = "".join(f"    _set(self, {name!r}, {name})\n" for name in cls.__slots__)
-        namespace = {"_set": object.__setattr__}
-        exec(f"def __init__(self, {names}):\n{sets}    self._check()\n", namespace)
+        namespace = {"_count": _count, "_set": object.__setattr__}
+        exec(f"def __init__(self, {names}):\n{checks}{sets}", namespace)
         cls.__init__ = namespace["__init__"]
-
-    def _check(self) -> None:
-        """Raise InvalidParamsError when the fields break a precondition."""
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
@@ -83,22 +94,16 @@ class ClusterParams(Record):
     """
 
     __slots__ = ("n",)
+    _counts = {"n": ("cluster size", 3)}
     n: int
-
-    def _check(self) -> None:
-        if not isinstance(self.n, int) or self.n < 3:
-            raise InvalidParamsError(f"cluster size must be an integer >= 3, got {self.n!r}")
 
 
 class WorkloadParams(Record):
     """Number of requests r issued during one operation period."""
 
     __slots__ = ("r",)
+    _counts = {"r": ("request count", 0)}
     r: int
-
-    def _check(self) -> None:
-        if not isinstance(self.r, int) or self.r < 0:
-            raise InvalidParamsError(f"request count must be an integer >= 0, got {self.r!r}")
 
 
 class RegenParams(Record):
@@ -110,13 +115,6 @@ class RegenParams(Record):
     """
 
     __slots__ = ("n", "b")
+    _counts = {"n": ("regeneration cluster size", 5), "b": ("lost-block count", 0)}
     n: int
     b: int
-
-    def _check(self) -> None:
-        if not isinstance(self.n, int) or self.n < 5:
-            raise InvalidParamsError(
-                f"regeneration model needs an integer cluster size >= 5, got {self.n!r}"
-            )
-        if not isinstance(self.b, int) or self.b < 0:
-            raise InvalidParamsError(f"lost-block count must be an integer >= 0, got {self.b!r}")

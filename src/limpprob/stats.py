@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidParamsError
-from .params import Probability, Record
+from .params import Probability, Record, _count
 
 # Two-sided 95% normal quantile.
 Z_95 = 1.959963984540054
@@ -18,9 +18,9 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     which happens routinely here (cluster-degrade probabilities are often
     effectively 0 or 1).
     """
-    if trials <= 0:
-        raise InvalidParamsError(f"need at least one trial, got {trials!r}")
-    if not 0 <= successes <= trials:
+    _count("trials", trials, 1)
+    _count("successes", successes, 0)
+    if successes > trials:
         raise InvalidParamsError(f"successes {successes!r} outside 0..{trials}")
     p_hat = successes / trials
     z2 = z * z

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .model import ANY_BLOCK_DEGRADE, BLOCK_DEGRADE, CLUSTER_DEGRADE, NODE_DEGRADE, _node_target
-from .params import ClusterParams, RegenParams, WorkloadParams
+from .params import ClusterParams, RegenParams, WorkloadParams, _count
 from .rng import (
     advance_np,
     index_limit,
@@ -92,12 +92,9 @@ def _sample(counts, master_seed: int, trials: int, workers: int, per_trial: int,
     glibc gives the heap back to the kernel only for the next batch to fault
     it in again.
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise InvalidParamsError(f"need at least 1 trial, got {trials!r}")
-    if not isinstance(workers, int) or workers < 1:
-        raise InvalidParamsError(f"need at least 1 worker, got {workers!r}")
-    if not isinstance(master_seed, int):
-        raise InvalidParamsError(f"master_seed must be an integer, got {master_seed!r}")
+    _count("trials", trials, 1)
+    _count("workers", workers, 1)
+    _count("master_seed", master_seed)
 
     def run(part: tuple[int, int]) -> list[tuple[int, int]]:
         batches = (trial_states_np(master_seed, np.arange(lo, min(part[1], lo + batch), dtype=np.int64))
@@ -162,12 +159,10 @@ def run_protocol_trials(
     values, so b_total <= _CHUNK_ELEMS * n // 15 (349,525 at n = 5), and every n
     up to 4,195, n = 1000 among them, runs at 50 * (n-1) lost blocks.
     """
-    if not isinstance(n, int) or n < 5:
-        raise InvalidParamsError(f"protocol trials need an integer n >= 5, got {n!r}")
+    RegenParams(n, b_total)
+    _count("block count", b_total, 1)
     if n > _CHUNK_ELEMS:
         raise InvalidParamsError(f"protocol trials take at most {_CHUNK_ELEMS} nodes, got {n}")
-    if not isinstance(b_total, int) or b_total < 1:
-        raise InvalidParamsError(f"need at least 1 block, got {b_total!r}")
     if b_total > (most := _CHUNK_ELEMS * n // 15):
         raise InvalidParamsError(f"protocol trials place at most {most} blocks on {n} nodes, got {b_total}")
     # whole trials per stage: about _CHUNK_ELEMS >> 7 expected lost blocks, 3 * b_total / n per trial

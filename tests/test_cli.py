@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limpprob import EstimateSummary, LowLoadWarning, RegenParams, cli, model, trials
-from limpprob.cli import CSV_HEADER, main
+from limpprob.cli import CSV_COMMENT, CSV_HEADER, main
 
 
 def _run(capsys, *argv):
@@ -307,22 +307,27 @@ class TestFigures:
                 assert float(row[5]) == pytest.approx(1 / int(row[1]), rel=1e-12)
 
     def test_all_panels_written(self, tmp_path, capsys):
-        code, _, _ = _run(
-            capsys, "figures", "--nodes", "10,20", "--requests", "1,10",
-            "--mode", "analytic", "--out", str(tmp_path),
-        )
-        assert code == 0
-        names = sorted(p.name for p in tmp_path.glob("*.csv"))
-        assert names == [
-            "any_block_degrade_prob.csv",
-            "block_degrade_prob.csv",
-            "cluster_degrade_prob.csv",
-            "node_degrade_prob.csv",
-            "read_request_prob.csv",
-            "read_user_prob.csv",
-            "write_request_prob.csv",
-            "write_user_prob.csv",
-        ]
+        for mode in ("analytic", "simulate"):
+            out = tmp_path / mode
+            code, _, _ = _run(
+                capsys, "figures", "--nodes", "10,20", "--requests", "1,10",
+                "--mode", mode, "--trials", "20", "--out", str(out),
+            )
+            assert code == 0
+            names = sorted(p.name for p in out.glob("*.csv"))
+            assert names == [
+                "any_block_degrade_prob.csv",
+                "block_degrade_prob.csv",
+                "cluster_degrade_prob.csv",
+                "node_degrade_prob.csv",
+                "read_request_prob.csv",
+                "read_user_prob.csv",
+                "write_request_prob.csv",
+                "write_user_prob.csv",
+            ]
+        # no sampler estimates a per-request probability, so those panels hold no simulated row
+        for name in ("read_request_prob.csv", "write_request_prob.csv"):
+            assert (tmp_path / "simulate" / name).read_text() == f"{CSV_COMMENT}\n{CSV_HEADER}\n"
 
 
     def test_one_sampler_run_per_regen_point(self, tmp_path, capsys, monkeypatch):
@@ -608,18 +613,23 @@ class TestConfig:
         assert (cfg["trials"], cfg["workers"], cfg["seed"], cfg["tolerance"]) == (500, 1, (1 << 64) - 1, 0.05)
 
     def test_json_lists_accepted_for_every_grid_key(self, tmp_path, capsys):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"nodes": [10, 20], "requests": [1, 3], "blocks": [9]}))
-        out = tmp_path / "x.csv"
-        code, _, err = _run(capsys, "sweep", "--config", str(config), "--protocol", "read",
-                            "--out", str(out))
-        assert code == 0, err
-        assert [(r[1], r[2]) for r in _read_rows(out)] == [
-            ("10", "1"), ("10", "3"), ("20", "1"), ("20", "3"),
-        ]
+        # a JSON number is one grid element, as in a list
+        for grid, points in [
+            ({"nodes": [10, 20], "requests": [1, 3], "blocks": [9]},
+             [("10", "1"), ("10", "3"), ("20", "1"), ("20", "3")]),
+            ({"nodes": 30.0, "requests": 5.0, "blocks": 1e2}, [("30", "5")]),
+        ]:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(grid))
+            out = tmp_path / "x.csv"
+            code, _, err = _run(capsys, "sweep", "--config", str(config), "--protocol", "read",
+                                "--out", str(out))
+            assert code == 0, err
+            assert [(r[1], r[2]) for r in _read_rows(out)] == points
 
     @pytest.mark.parametrize("key, value", [
         ("blocks", [90.7]), ("blocks", [90, True]), ("nodes", [10.9]), ("requests", [1, 2.5]),
+        ("nodes", 30.5), ("requests", 2.5), ("blocks", 90.7), ("blocks", True),
     ])
     def test_non_integral_grid_element_exits_2(self, tmp_path, capsys, key, value):
         config = tmp_path / "cfg.json"

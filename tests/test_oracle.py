@@ -64,12 +64,14 @@ def test_budget_enforced():
 
 
 def test_minimum_sizes_enforced():
-    with pytest.raises(InvalidParamsError):
-        enum_read_prob(2)
-    with pytest.raises(InvalidParamsError):
-        enum_write_prob(2)
-    with pytest.raises(InvalidParamsError):
-        enum_slow_dest_prob(4)
+    for n in (2, True):
+        with pytest.raises(InvalidParamsError):
+            enum_read_prob(n)
+        with pytest.raises(InvalidParamsError):
+            enum_write_prob(n)
+    for n in (4, True):
+        with pytest.raises(InvalidParamsError):
+            enum_slow_dest_prob(n)
 
 
 def test_results_in_lowest_terms():

@@ -48,27 +48,30 @@ class TestClusterParams:
             ClusterParams(2)
 
     def test_rejects_non_integers(self):
-        with pytest.raises(InvalidParamsError):
-            ClusterParams(10.5)
+        for n in (10.5, True):
+            with pytest.raises(InvalidParamsError):
+                ClusterParams(n)
 
 
 class TestWorkloadParams:
     def test_bounds(self):
         assert WorkloadParams(0).r == 0
-        with pytest.raises(InvalidParamsError):
-            WorkloadParams(-1)
+        for r in (-1, False, True):
+            with pytest.raises(InvalidParamsError):
+                WorkloadParams(r)
 
 
 class TestRegenParams:
     def test_minimum_size(self):
         assert RegenParams(5, 0).b == 0
-        for n in (4, 3, 0):
+        for n in (4, 3, 0, True):
             with pytest.raises(InvalidParamsError):
                 RegenParams(n, 10)
 
     def test_negative_blocks_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            RegenParams(10, -1)
+        for b in (-1, False, True):
+            with pytest.raises(InvalidParamsError):
+                RegenParams(10, b)
 
 
 # every record type: one set of field values, and another that differs in the last field only

@@ -32,7 +32,7 @@ class TestGenPlacement:
         assert not np.array_equal(a, _placement(8, 100, TrialStream(77, 4)))
 
     def test_preconditions(self):
-        for n, b_total in ((4, 10), (10, 0), (7.5, 10), (10, 2.5)):
+        for n, b_total in ((4, 10), (10, 0), (7.5, 10), (10, 2.5), (10, True)):
             with pytest.raises(InvalidParamsError):
                 run_protocol_trials(n, b_total, 1, master_seed=0)
 

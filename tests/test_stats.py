@@ -28,6 +28,9 @@ def test_rejects_bad_counts():
         wilson_interval(5, 4)
     with pytest.raises(InvalidParamsError):
         wilson_interval(-1, 4)
+    for successes, trials in ((True, 4), (1, True), (0, False), (1, 4.0)):
+        with pytest.raises(InvalidParamsError):
+            wilson_interval(successes, trials)
 
 
 @given(

@@ -401,9 +401,9 @@ class TestChunking:
 
 class TestSamplerInputs:
     SAMPLERS = {
-        "rw": lambda **kw: run_rw_trials("read", 10, 5, 1000, **kw),
-        "assumption": lambda **kw: run_assumption_trials(RegenParams(10, 90), 1000, **kw),
-        "protocol": lambda **kw: run_protocol_trials(10, 30, 100, **kw),
+        "rw": lambda trials=1000, **kw: run_rw_trials("read", 10, 5, trials, **kw),
+        "assumption": lambda trials=1000, **kw: run_assumption_trials(RegenParams(10, 90), trials, **kw),
+        "protocol": lambda trials=100, **kw: run_protocol_trials(10, 30, trials, **kw),
     }
 
     @pytest.mark.parametrize("sampler", SAMPLERS)
@@ -412,7 +412,11 @@ class TestSamplerInputs:
         {"master_seed": 1, "workers": -3},
         {"master_seed": 1, "workers": 2.5},
         {"master_seed": 1.5},
-    ], ids=["workers-0", "workers-negative", "workers-fractional", "seed-fractional"])
+        {"master_seed": 1, "workers": True},
+        {"master_seed": True},
+        {"master_seed": 1, "trials": True},
+    ], ids=["workers-0", "workers-negative", "workers-fractional", "seed-fractional",
+            "workers-bool", "seed-bool", "trials-bool"])
     def test_bad_workers_or_seed_is_refused(self, sampler, kwargs):
         with pytest.raises(InvalidParamsError):
             self.SAMPLERS[sampler](**kwargs)
