@@ -25,7 +25,12 @@ count.  ``_CHUNK_ELEMS`` bounds every transient array and is also the unit of
 parallel work: a call splits only into ranges of at least ``_CHUNK_ELEMS``
 stream positions each, at most one per usable CPU, so a call below two chunks
 runs in the calling thread (a smaller one cannot release the GIL long enough
-for a second thread to pay).
+for a second thread to pay).  Every array a sampler hashes per block, node or
+request (placement, node pass, first-hit rounds and the draws gated behind a
+first test) is one tile of at most ``_CHUNK_ELEMS >> 4`` positions, hashed
+into the two buffers of a :class:`_Tiles` that each thread range makes once;
+only the few draws per trial or lost block (the survivor pair, the protocol
+plan) are fresh arrays.
 
 Estimates are keyed by the metric names of :mod:`limpprob.model`.  This module
 and :mod:`limpprob.rng` are the only ones that import numpy; the package root
@@ -34,6 +39,7 @@ and the CLI import them on first use.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -61,6 +67,11 @@ _CHUNK_ELEMS = 1 << 20
 _REGEN_METRICS = (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)
 # A split call's pool type, if a tracer or a test sets one here; else concurrent.futures', imported on a split
 ThreadPoolExecutor = None
+
+
+def _tile() -> int:
+    """Stream positions in one hash tile: _CHUNK_ELEMS >> 4, at least 1, read from the budget at call time."""
+    return max(1, _CHUNK_ELEMS >> 4)
 
 
 def _partition(trials: int, workers: int, per_trial: int) -> list[tuple[int, int]]:
@@ -115,14 +126,45 @@ def _sample(counts, master_seed: int, trials: int, workers: int, per_trial: int,
     return {metric: EstimateSummary.from_counts(*total) for metric, total in zip(metrics, totals)}
 
 
-def _holds_node_zero(r0: np.ndarray, r1: np.ndarray, r2: np.ndarray, n: int) -> np.ndarray:
-    """Whether the replica triple of raw values r0, r1, r2 holds node 0.
+class _Tiles:
+    """The two uint64 hash buffers of one thread range, made in its ``counts(batches)`` call.
 
-    The triple is i1 = index(r0, n), then index(r1, n-1) and index(r2, n-2)
-    each stepped past the indices before it, so it holds node 0 iff one of the
-    three raw indices is 0, each read through its :func:`index_limit`.
+    Each tile hashes into views of them, so once they have grown (lazily, to
+    the largest tile the range asks for) a range hashes without fresh memory.
+    Fresh temporaries per ufunc cost the protocol kernel about 35,000 more
+    page faults on the compare grid.  Tile-sized ones in only some passes cost
+    more still: with nothing large ever freed, glibc's mmap threshold never
+    rises, and each one is mapped and unmapped.
     """
-    return (r0 < index_limit(n)) | (r1 < index_limit(n - 1)) | (r2 < index_limit(n - 2))
+
+    __slots__ = ("raw", "scratch")
+
+    def __init__(self):
+        self.raw = self.scratch = np.empty(0, dtype=np.uint64)
+
+    def views(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(out, scratch) arrays of this shape for :func:`~limpprob.rng.raws_into`, valid until the next call."""
+        size = math.prod(shape)
+        if size > self.raw.size:
+            self.raw, self.scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+        return self.raw[:size].reshape(shape), self.scratch[:size].reshape(shape)
+
+    def raws(self, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """``raws_np(states, positions)`` of uint64 arrays, hashed in the buffers: valid until the next call."""
+        out, scratch = self.views(np.broadcast(states, positions).shape)
+        return raws_into(out, states, step_terms_np(positions), scratch)
+
+
+def _holds_node_zero(raw, n: int) -> np.ndarray:
+    """Whether the replica triples whose raw values raw(c) gives for c = 0, 1, 2 hold node 0.
+
+    The triple is i1 = index(raw(0), n), then index(raw(1), n-1) and
+    index(raw(2), n-2) each stepped past the indices before it, so it holds
+    node 0 iff one of the three raw indices is 0, each read through its
+    :func:`index_limit`.  Each raw(c) is compared before the next is asked
+    for, so raw may hash them into the same tile.
+    """
+    return (raw(0) < index_limit(n)) | (raw(1) < index_limit(n - 1)) | (raw(2) < index_limit(n - 2))
 
 
 def run_protocol_trials(
@@ -145,9 +187,9 @@ def run_protocol_trials(
     Trials run in batches (stages) of whole trials that expect about
     _CHUNK_ELEMS >> 7 lost blocks in all, and at most _CHUNK_ELEMS // n trials,
     so that a stage's trials x nodes table fits the memory budget.  Placement
-    is hashed in tiles of at most _CHUNK_ELEMS >> 4 raw values, into two
-    buffers made once per thread range: whole trials per tile, or one larger
-    trial in block chunks.  A block is lost when :func:`_holds_node_zero`, and
+    is hashed in tiles of at most _CHUNK_ELEMS >> 4 raw values, into the range's
+    :class:`_Tiles`: whole trials per tile, or one larger trial in block
+    chunks.  A block is lost when :func:`_holds_node_zero`, and
     only a lost block's raw values become uniforms, to draw its replica
     indices.  A lost triple holds node 0, so its live holders are the sum of
     its indices less their maximum, and that maximum.  The destination is node
@@ -167,7 +209,7 @@ def run_protocol_trials(
         raise InvalidParamsError(f"protocol trials place at most {most} blocks on {n} nodes, got {b_total}")
     # whole trials per stage: about _CHUNK_ELEMS >> 7 expected lost blocks, 3 * b_total / n per trial
     stage = max(1, min(_CHUNK_ELEMS // n, (_CHUNK_ELEMS >> 7) * n // (3 * b_total)))
-    budget = _CHUNK_ELEMS >> 4  # placement hashes per tile
+    budget = _tile()  # placement hashes per tile
     rows = max(1, min(stage, budget // (3 * b_total)))  # whole trials per tile
     cols = min(b_total, max(1, budget // 3))  # blocks per tile, below b_total only when rows == 1
     rank_limit, coin_limit = index_limit(n - 3), uniform_limit(0.5)
@@ -175,9 +217,7 @@ def run_protocol_trials(
     steps = step_terms_np(3 * np.arange(cols, dtype=np.uint64) + np.arange(3, dtype=np.uint64)[:, None])[:, None]
 
     def counts(batches):
-        # Every tile hashes into these two buffers: fresh 512 KB temporaries
-        # per ufunc took about 35,000 more page faults on the compare grid.
-        raw_buf, scratch_buf = (np.empty(3 * rows * cols, dtype=np.uint64) for _ in range(2))
+        tiles = _Tiles()
         for states in batches:
             size = states.size
             # placement: a block is lost when a raw replica index is 0 (node 0)
@@ -185,16 +225,11 @@ def run_protocol_trials(
             for row in range(0, size, rows):
                 tile_states = states[row : row + rows]
                 for first in range(0, b_total, cols):
-                    shape = (3, tile_states.size, min(cols, b_total - first))
-                    used = shape[0] * shape[1] * shape[2]
-                    raws = raws_into(
-                        raw_buf[:used].reshape(shape),
-                        advance_np(tile_states, 3 * first)[:, None],
-                        steps[..., : shape[2]],
-                        scratch_buf[:used].reshape(shape),
-                    ).reshape(3, -1)
-                    lost = np.flatnonzero(_holds_node_zero(*raws, n))
-                    trial_parts.append(lost // shape[2] + row)
+                    raw, scratch = tiles.views((3, tile_states.size, min(cols, b_total - first)))
+                    raws = raws_into(raw, advance_np(tile_states, 3 * first)[:, None], steps[..., : raw.shape[2]],
+                                     scratch).reshape(3, -1)
+                    lost = np.flatnonzero(_holds_node_zero(raws.__getitem__, n))
+                    trial_parts.append(lost // raw.shape[2] + row)
                     raw_parts.append(raws[:, lost])
             trial = np.concatenate(trial_parts)  # trial, then block-id order
             u = to_uniforms(np.concatenate(raw_parts, axis=1))
@@ -230,10 +265,11 @@ def run_protocol_trials(
     return _sample(counts, master_seed, trials, workers, 3 * b_total, stage, _REGEN_METRICS)
 
 
-def _gated(states: np.ndarray, firsts: np.ndarray, slot: int, limit: int, then) -> np.ndarray:
+def _gated(tiles: _Tiles, states: np.ndarray, firsts: np.ndarray, slot: int, limit: int, then) -> np.ndarray:
     """(states, firsts) flags: the raw value at firsts + slot is below limit, and then(states, firsts) holds,
-    drawn only for the (trial, element) pairs that passed the first test, as two gathered vectors."""
-    hit = raws_np(states[:, None], firsts + slot) < limit
+    drawn only for the (trial, element) pairs that passed the first test, as two gathered vectors.
+    The first test hashes one tile in tiles, and then may hash its own there once the test is read."""
+    hit = tiles.raws(states[:, None], firsts + slot) < limit
     trial, element = np.nonzero(hit)
     hit[trial, element] = then(states[trial], firsts[element])
     return hit
@@ -243,20 +279,23 @@ def _count_hit_trials(alive: np.ndarray, count: int, base: int, slots: int, hits
     """How many of the trials with states alive have at least one of count elements hit.
 
     Element j owns stream positions [base + j*slots, base + (j+1)*slots).
-    hits(states, firsts) maps the live trial states and a round's element
+    hits(states, firsts) maps some live trial states and a round's element
     base positions (a uint64 vector) to (states, firsts) flags; it draws
     whichever slots firsts + k its outcome still depends on, each array at
-    most len(states) * len(firsts) elements.  Rounds start at width 1 and
-    double while that fits _CHUNK_ELEMS; hit trials drop out between rounds,
-    so at most about twice the elements up to a trial's first hit are
-    visited, and the count is batching-independent.
+    most one tile, len(states) * len(firsts) <= _CHUNK_ELEMS >> 4 elements.
+    Rounds start at width 1 and double while that fits _CHUNK_ELEMS and the
+    tile; each round runs in row tiles of tile // width live trials.  Hit
+    trials drop out between rounds, so at most about twice the elements up
+    to a trial's first hit are visited, and the count is batching-independent.
     """
-    size = alive.size
+    size, tile = alive.size, _tile()
     j, width = 0, 1
     while j < count and alive.size:
-        width = min(width, count - j, max(1, _CHUNK_ELEMS // alive.size))
+        width = min(width, count - j, max(1, _CHUNK_ELEMS // alive.size), tile)
         firsts = np.arange(base + j * slots, base + (j + width) * slots, slots, dtype=np.uint64)
-        alive = alive[~hits(alive, firsts).any(axis=1)]
+        rows = max(1, tile // width)
+        hit = [hits(alive[row : row + rows], firsts).any(axis=1) for row in range(0, alive.size, rows)]
+        alive = alive[~np.concatenate(hit)]
         j += width
         width *= 2
     return size - alive.size
@@ -284,21 +323,27 @@ def run_assumption_trials(
     good = n - 2
     q = _node_target(n, b)
     q_limit, coin_limit = uniform_limit(q), uniform_limit(2.0 / (n - 1))
-    rows, cols = max(1, _CHUNK_ELEMS // good), min(good, _CHUNK_ELEMS)  # node pass chunks
-
-    def block_degraded(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-        # holder 1 degraded, and then holder 2 the slow node (odds 2/(n-1)) or degraded
-        return _gated(states, firsts, 1, q_limit,
-                      lambda s, f: (raws_np(s, f) < coin_limit) | (raws_np(s, f + 2) < q_limit))
+    # node pass: batches of _CHUNK_ELEMS // good trials, hashed in tiles of cols nodes x rows trials
+    batch, cols = max(1, _CHUNK_ELEMS // good), min(good, _tile())
+    rows = _tile() // cols
 
     def counts(batches):
+        tiles = _Tiles()
+
+        def block_degraded(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+            # holder 1 degraded, and then holder 2 the slow node (odds 2/(n-1)) or degraded
+            return _gated(tiles, states, firsts, 1, q_limit,
+                          lambda s, f: (tiles.raws(s, f) < coin_limit) | (tiles.raws(s, f + 2) < q_limit))
+
         for states in batches:
             size, node_hits = states.size, 0
             cluster = np.ones(size, dtype=bool)
             for c in range(0, good, cols):
-                degraded = raws_np(states[:, None], np.arange(c, min(good, c + cols), dtype=np.uint64)) < q_limit
-                node_hits += int(degraded.sum())
-                cluster &= degraded.all(axis=1)
+                nodes = np.arange(c, min(good, c + cols), dtype=np.uint64)
+                for row in range(0, size, rows):
+                    degraded = tiles.raws(states[row : row + rows, None], nodes) < q_limit
+                    node_hits += int(degraded.sum())
+                    cluster[row : row + rows] &= degraded.all(axis=1)
             # one block on a uniform survivor pair; survivor 0 is the slow node,
             # survivor k>=1 the good node whose indicator is re-read at k-1
             u = uniforms_np(states[:, None], np.arange(good, good + 2, dtype=np.uint64))
@@ -315,7 +360,7 @@ def run_assumption_trials(
     # expected after 1/p blocks: p = q * P(holder 2 is the slow node or degraded)
     p = q * (1.0 - (1.0 - 2.0 / (n - 1)) * (1.0 - q))
     expected = n + 3 * int(min(b, -(-1.0 // p))) if q > 0.0 else n
-    return _sample(counts, master_seed, trials, workers, expected, rows, _REGEN_METRICS)
+    return _sample(counts, master_seed, trials, workers, expected, batch, _REGEN_METRICS)
 
 
 def run_rw_trials(
@@ -337,20 +382,20 @@ def run_rw_trials(
     ClusterParams(n)
     WorkloadParams(r)
 
-    def holds_slow(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-        return _holds_node_zero(*(raws_np(states, firsts + k) for k in range(3)), n)
-
-    def read_touched(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-        # the replica choice picks the first replica, and then the placement holds the slow node
-        return _gated(states, firsts, 3, index_limit(3), holds_slow)
-
     # a trial stops at its first slow request, expected after 1/p requests: p = 1/n a read, 3/n a write
-    if protocol == "read":
-        slots, touched, expected = 4, read_touched, n
-    else:
-        slots, touched, expected = 3, lambda states, firsts: holds_slow(states[:, None], firsts), -(-n // 3)
+    slots, expected = (4, n) if protocol == "read" else (3, -(-n // 3))
 
     def counts(batches):
+        tiles = _Tiles()
+        if protocol == "read":
+            # the replica choice picks the first replica, and then the placement holds the slow node
+            def touched(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+                return _gated(tiles, states, firsts, 3, index_limit(3),
+                              lambda s, f: _holds_node_zero(lambda k: tiles.raws(s, f + k), n))
+        else:
+            def touched(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+                return _holds_node_zero(lambda k: tiles.raws(states[:, None], firsts + k), n)
+
         for states in batches:
             yield ((_count_hit_trials(states, r, 0, slots, touched), states.size),)
 
