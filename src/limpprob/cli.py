@@ -21,11 +21,16 @@ and turns the grid keys into ascending int lists, or a node range into a
 most 2**53.  ``--show-config`` prints those normalised values.
 
 Every command reaches each mechanism one way: closed forms through the
-``_ANALYTIC`` table, samplers through ``_estimates`` (``compare`` memoises it,
-because its points repeat; the regeneration panels of ``figures`` share one run
-per point; elsewhere no estimate outlives its row), and CSV rows through
-``_point_rows``.  ``main`` ignores ``LowLoadWarning`` once around the handler,
-since grids reach low loads on purpose, and restores the warning filters on return.
+``_ANALYTIC`` table, samplers through ``_estimates``, and CSV rows through
+``_point_rows``.  ``_estimates`` walks a read or write sampler once per
+(protocol, n) column of r values: ``compare``'s ``--requests``, a ``figures``
+user panel's list (the write anchor 40 included), or the r values of one n in
+``sweep``'s n-major walk.  ``_memoised_estimates`` serves each run's estimates
+point by point: ``compare`` keeps them all, because its points repeat; the
+regeneration panels of ``figures`` share one run per point; elsewhere no
+estimate outlives its column or regeneration point.  ``main`` ignores
+``LowLoadWarning`` once around the handler, since grids reach low loads on
+purpose, and restores the warning filters on return.
 
 A process imports only what its command runs.  Only a sampler run imports numpy
 (through :mod:`limpprob.trials`), and ``_estimates`` sets
@@ -148,29 +153,35 @@ def _regen_b_total(n: int, b: int) -> int:
     return max(1, round(b * n / 3))
 
 
-def _estimates(cfg: dict, protocol: str, n: int, v: int) -> dict[str, EstimateSummary]:
-    """One sampler run at a point: read and write give their headline metric, regeneration all four of its own."""
+def _estimates(cfg: dict, protocol: str, n: int, v: int) -> dict[int, dict[str, EstimateSummary]]:
+    """Sampler estimates by r_or_b: read and write give their headline metric at every r of cfg["requests"], the
+    column that holds v, from one walk; regeneration gives all four of its own metrics at v."""
     # numpy loads with the first sampler run; no sampler calls BLAS, so start no OpenBLAS thread pool
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import trials
 
     run_args = (cfg["trials"], cfg["seed"], cfg["workers"])
     if PROTOCOLS[protocol][0] == "r":
-        return {PROTOCOLS[protocol][1]: trials.run_rw_trials(protocol, n, v, *run_args)}
+        column = trials._run_rw_column(protocol, n, cfg["requests"], *run_args)
+        return {r: {PROTOCOLS[protocol][1]: est} for r, est in zip(cfg["requests"], column)}
     if cfg["sim"] == "protocol":
-        return trials.run_protocol_trials(n, _regen_b_total(n, v), *run_args)
-    return trials.run_assumption_trials(RegenParams(n, v), *run_args)
+        return {v: trials.run_protocol_trials(n, _regen_b_total(n, v), *run_args)}
+    return {v: trials.run_assumption_trials(RegenParams(n, v), *run_args)}
 
 
-def _memoised_estimates():
-    """_estimates with a memo, for the commands whose points repeat; every regeneration protocol shares one key."""
+def _memoised_estimates(keep: bool = True):
+    """_estimates(cfg, protocol, n, v)[v] through a memo; every regeneration protocol shares one key.  A miss
+    memoises every estimate of its run, so a read or write column is walked once.  keep=False drops the memo on a
+    miss, for walks that finish each column (or regeneration point) before the next: no estimate outlives it."""
     runs: dict = {}
 
     def estimates(cfg: dict, protocol: str, n: int, v: int) -> dict[str, EstimateSummary]:
-        key = (protocol if PROTOCOLS[protocol][0] == "r" else "regen", n, v)
-        if key not in runs:
-            runs[key] = _estimates(cfg, protocol, n, v)
-        return runs[key]
+        kind = protocol if PROTOCOLS[protocol][0] == "r" else "regen"
+        if (kind, n, v) not in runs:
+            if not keep:
+                runs.clear()
+            runs.update(((kind, n, w), est) for w, est in _estimates(cfg, protocol, n, v).items())
+        return runs[kind, n, v]
 
     return estimates
 
@@ -378,8 +389,9 @@ def cmd_sweep(cfg: dict) -> int:
         raise InvalidParamsError(f"sweep needs exactly one --protocol, got {protocol!r}")
     if not cfg["out"]:
         raise InvalidParamsError("sweep needs --out PATH")
-    # the walk never repeats a point, so each estimate is dropped once its row is written
-    rows = _point_rows(cfg, _estimates, protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol))
+    # the walk is n-major and never repeats a point, so each estimate is dropped once its column is written
+    estimates = _memoised_estimates(keep=False)
+    rows = _point_rows(cfg, estimates, protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol))
     print(f"wrote {_write_csv(cfg['out'], rows)} rows to {cfg['out']}")
     return 0
 
@@ -443,11 +455,13 @@ def _figure_panels(cfg: dict):
     for figure in figures:
         if figure in ("read", "write"):
             requests = sorted({*cfg["requests"], _WRITE_R_ANCHOR}) if figure == "write" else cfg["requests"]
+            panel = {**cfg, "requests": requests}  # its sampler walks each n's column of these r values once
             nodes = ((n, None) for n in cfg["nodes"])
-            points = _grid({**cfg, "requests": requests}, figure)
+            estimates = _memoised_estimates(keep=False)
             walks += [
-                (f"{figure}_request_prob", _point_rows(cfg, _estimates, figure, [f"{figure}_degrade"], nodes)),
-                (f"{figure}_user_prob", _point_rows(cfg, _estimates, figure, [f"{figure}_user_degrade"], points)),
+                (f"{figure}_request_prob", _point_rows(cfg, estimates, figure, [f"{figure}_degrade"], nodes)),
+                (f"{figure}_user_prob",
+                 _point_rows(panel, estimates, figure, [f"{figure}_user_degrade"], _grid(panel, figure))),
             ]
     regen = {f"{PROTOCOLS[p][1]}_prob": p for figure in figures for p in _REGEN_FIGURES.get(figure, ())}
 

@@ -80,7 +80,9 @@ def step_terms_np(positions: np.ndarray) -> np.ndarray:
     Array arithmetic wraps silently; a numpy scalar argument needs the
     caller's ``np.errstate(over="ignore")``, as in :func:`uniforms_np`.
     """
-    return (positions + _U_ONE) * _U_GOLDEN
+    steps = positions + _U_ONE
+    steps *= _U_GOLDEN
+    return steps
 
 
 def advance_np(states: np.ndarray, count: int) -> np.ndarray:

@@ -12,7 +12,8 @@ Three flavors:
   uniform survivor pair, blocks are independent), so its estimates converge
   to :func:`limpprob.model.assumption_targets`: the closed forms at integer
   load m = b/(n-1), the same path at the node probability q at fractional m.
-* :func:`run_rw_trials` samples read/write request streams.
+* :func:`run_rw_trials` samples read/write request streams; :func:`_run_rw_column`
+  serves several request counts r at one n from one walk to the largest.
 
 Each sampler checks its inputs and hands a ``counts(batches)`` to
 :func:`_sample`, the one batching and thread policy: the trials split into
@@ -26,11 +27,17 @@ parallel work: a call splits only into ranges of at least ``_CHUNK_ELEMS``
 stream positions each, at most one per usable CPU, so a call below two chunks
 runs in the calling thread (a smaller one cannot release the GIL long enough
 for a second thread to pay).  Every array a sampler hashes per block, node or
-request (placement, node pass, first-hit rounds and the draws gated behind a
-first test) is one tile of at most ``_CHUNK_ELEMS >> 4`` positions, hashed
-into the two buffers of a :class:`_Tiles` that each thread range makes once;
-only the few draws per trial or lost block (the survivor pair, the protocol
-plan) are fresh arrays.
+request (placement, node pass, survivor pair, first-hit rounds and the draws
+gated behind a first test) is one tile of at most ``_CHUNK_ELEMS >> 4``
+positions, hashed into the two buffers of a :class:`_Tiles` that each thread
+range makes once; only the protocol plan's few draws per lost block are fresh
+arrays.  The node pass, the survivor pair and the first-hit rounds lay a tile
+out as (elements, trials), with the trials inner, so numpy's inner loops run
+along up to thousands of trials, not along 1 to 256 elements.  A first-hit
+round's ``hits`` returns the hit pairs as ascending flat indices into its
+tile (elements outer), so a trial's first hit is the first index that names
+it, and :func:`_count_hit_trials` counts, for each of several ascending cuts,
+the trials hit below it: every r of a read/write column comes from one walk.
 
 Estimates are keyed by the metric names of :mod:`limpprob.model`.  This module
 and :mod:`limpprob.rng` are the only ones that import numpy; the package root
@@ -57,7 +64,6 @@ from .rng import (
     to_uniforms,
     trial_states_np,
     uniform_limit,
-    uniforms_np,
 )
 from .stats import EstimateSummary
 
@@ -146,6 +152,11 @@ class _Tiles:
         """(out, scratch) arrays of this shape for :func:`~limpprob.rng.raws_into`, valid until the next call."""
         size = math.prod(shape)
         if size > self.raw.size:
+            # a block of this size, freed at once: glibc then raises its mmap threshold to it, so the smaller
+            # temporaries of a tile (hit indices, gathered vectors) come from the heap; before a first free,
+            # each one above 128 KB is mapped and unmapped, about 97,000 page faults in a fresh process's first
+            # read call at (1000, 1000) x 20,000 trials
+            np.empty(size, dtype=np.uint64)
             self.raw, self.scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
         return self.raw[:size].reshape(shape), self.scratch[:size].reshape(shape)
 
@@ -266,39 +277,54 @@ def run_protocol_trials(
 
 
 def _gated(tiles: _Tiles, states: np.ndarray, firsts: np.ndarray, slot: int, limit: int, then) -> np.ndarray:
-    """(states, firsts) flags: the raw value at firsts + slot is below limit, and then(states, firsts) holds,
-    drawn only for the (trial, element) pairs that passed the first test, as two gathered vectors.
-    The first test hashes one tile in tiles, and then may hash its own there once the test is read."""
-    hit = tiles.raws(states[:, None], firsts + slot) < limit
-    trial, element = np.nonzero(hit)
-    hit[trial, element] = then(states[trial], firsts[element])
-    return hit
+    """Ascending flat indices into the (firsts, states) tile of the pairs whose raw value at firsts + slot is below
+    limit and where then(states, firsts) holds, drawn only for the pairs that passed the first test, as two
+    gathered vectors.  The first test hashes one tile in tiles, and then may hash its own there once it is read."""
+    flat = np.flatnonzero(tiles.raws(states, firsts[:, None] + slot) < limit)
+    # no (element, trial) index pair is kept: each index vector is freed once its gather is made
+    return flat[then(states[flat % states.size], firsts[flat // states.size])]
 
 
-def _count_hit_trials(alive: np.ndarray, count: int, base: int, slots: int, hits) -> int:
-    """How many of the trials with states alive have at least one of count elements hit.
+def _count_hit_trials(alive: np.ndarray, cuts, base: int, slots: int, hits) -> list[int]:
+    """Per ascending cut, how many of the trials with states alive have one of their first cut elements hit.
 
     Element j owns stream positions [base + j*slots, base + (j+1)*slots).
     hits(states, firsts) maps some live trial states and a round's element
-    base positions (a uint64 vector) to (states, firsts) flags; it draws
-    whichever slots firsts + k its outcome still depends on, each array at
-    most one tile, len(states) * len(firsts) <= _CHUNK_ELEMS >> 4 elements.
-    Rounds start at width 1 and double while that fits _CHUNK_ELEMS and the
-    tile; each round runs in row tiles of tile // width live trials.  Hit
-    trials drop out between rounds, so at most about twice the elements up
-    to a trial's first hit are visited, and the count is batching-independent.
+    base positions (a uint64 vector) to the ascending flat indices of the hit
+    pairs in the (len(firsts), len(states)) tile, elements outer and trials
+    inner; it draws whichever slots firsts + k its outcome still depends on,
+    each array at most one tile, len(states) * len(firsts) <= _CHUNK_ELEMS >> 4
+    elements.  One walk to the last cut serves every cut, since a trial's first
+    hit does not depend on how far the walk goes: a hit trial counts for each
+    cut above its first hit, read as the trials marked by the flat indices
+    below that cut.  Rounds start at width 1 and double while that fits
+    _CHUNK_ELEMS and the tile; each round runs in row tiles of tile // width
+    live trials.  Hit trials drop out between rounds, so at most about twice
+    the elements up to a trial's first hit are visited, and the counts are
+    batching-independent.
     """
-    size, tile = alive.size, _tile()
-    j, width = 0, 1
+    counts, tile = [0] * len(cuts), _tile()
+    j, width, count = 0, 1, cuts[-1]
     while j < count and alive.size:
         width = min(width, count - j, max(1, _CHUNK_ELEMS // alive.size), tile)
         firsts = np.arange(base + j * slots, base + (j + width) * slots, slots, dtype=np.uint64)
         rows = max(1, tile // width)
-        hit = [hits(alive[row : row + rows], firsts).any(axis=1) for row in range(0, alive.size, rows)]
-        alive = alive[~np.concatenate(hit)]
+        hit = np.zeros(alive.size, dtype=bool)
+        for row in range(0, alive.size, rows):
+            states, marked = alive[row : row + rows], hit[row : row + rows]
+            flat = hits(states, firsts)
+            # the hits below a cut are a prefix of flat: mark their trials cut by cut and count the marks
+            ends = np.searchsorted(flat, [min(max(cut - j, 0), width) * states.size for cut in cuts]).tolist()
+            done = seen = 0
+            for k, end in enumerate(ends):
+                if end > done:
+                    marked[flat[done:end] % states.size] = True
+                    done, seen = end, np.count_nonzero(marked)
+                counts[k] += seen
+        alive = alive[~hit]
         j += width
         width *= 2
-    return size - alive.size
+    return counts
 
 
 def run_assumption_trials(
@@ -325,7 +351,8 @@ def run_assumption_trials(
     q_limit, coin_limit = uniform_limit(q), uniform_limit(2.0 / (n - 1))
     # node pass: batches of _CHUNK_ELEMS // good trials, hashed in tiles of cols nodes x rows trials
     batch, cols = max(1, _CHUNK_ELEMS // good), min(good, _tile())
-    rows = _tile() // cols
+    rows, pair_rows = _tile() // cols, max(1, _tile() // 2)
+    pair = np.arange(good, good + 2, dtype=np.uint64)[:, None]  # the survivor pair's positions
 
     def counts(batches):
         tiles = _Tiles()
@@ -335,25 +362,29 @@ def run_assumption_trials(
             return _gated(tiles, states, firsts, 1, q_limit,
                           lambda s, f: (tiles.raws(s, f) < coin_limit) | (tiles.raws(s, f + 2) < q_limit))
 
+        def slow_or_degraded(states: np.ndarray, survivor: np.ndarray) -> np.ndarray:
+            # survivor 0 is the slow node, survivor k >= 1 the good node whose indicator sits at k - 1
+            return (survivor == 0) | (tiles.raws(states, np.maximum(survivor - 1, 0).astype(np.uint64)) < q_limit)
+
         for states in batches:
-            size, node_hits = states.size, 0
+            size, node_hits, block_hits = states.size, 0, 0
             cluster = np.ones(size, dtype=bool)
             for c in range(0, good, cols):
-                nodes = np.arange(c, min(good, c + cols), dtype=np.uint64)
+                nodes = np.arange(c, min(good, c + cols), dtype=np.uint64)[:, None]
                 for row in range(0, size, rows):
-                    degraded = tiles.raws(states[row : row + rows, None], nodes) < q_limit
-                    node_hits += int(degraded.sum())
-                    cluster[row : row + rows] &= degraded.all(axis=1)
-            # one block on a uniform survivor pair; survivor 0 is the slow node,
-            # survivor k>=1 the good node whose indicator is re-read at k-1
-            u = uniforms_np(states[:, None], np.arange(good, good + 2, dtype=np.uint64))
-            first, second = to_index(u[:, 0], n - 1), to_index(u[:, 1], n - 2)
-            second += second >= first
-            holders = np.stack([first, second], axis=1)
-            on_degraded = raws_np(states[:, None], np.maximum(holders - 1, 0).astype(np.uint64)) < q_limit
-            block_hits = ((holders == 0) | on_degraded).all(axis=1).sum()
+                    degraded = tiles.raws(states[row : row + rows], nodes) < q_limit
+                    node_hits += np.count_nonzero(degraded)
+                    cluster[row : row + rows] &= degraded.all(axis=0)
+            # one block on a uniform survivor pair, hashed in tiles of 2 x pair_rows trials
+            for row in range(0, size, pair_rows):
+                tile_states = states[row : row + pair_rows]
+                u = to_uniforms(tiles.raws(tile_states, pair))
+                first, second = to_index(u[0], n - 1), to_index(u[1], n - 2)
+                second += second >= first
+                on = slow_or_degraded(tile_states, first)  # read before the second holder is hashed
+                block_hits += np.count_nonzero(on & slow_or_degraded(tile_states, second))
             # with q = 0 no block can be degraded, so skip drawing them
-            any_hits = _count_hit_trials(states, b if q > 0.0 else 0, good + 2, 3, block_degraded)
+            any_hits, = _count_hit_trials(states, [b if q > 0.0 else 0], good + 2, 3, block_degraded)
             yield (node_hits, size * good), (cluster.sum(), size), (block_hits, size), (any_hits, size)
 
     # a trial reads n node and pair positions, then 3 per block up to its first degraded one,
@@ -377,10 +408,23 @@ def run_rw_trials(
     Requests within a trial stop early once one touches the slow node (later
     requests cannot change the indicator).
     """
+    return _run_rw_column(protocol, n, [r], trials, master_seed, workers)[0]
+
+
+def _run_rw_column(
+    protocol: str, n: int, requests, trials: int, master_seed: int, workers: int = 1
+) -> list[EstimateSummary]:
+    """:func:`run_rw_trials` at each of the ascending request counts, from one walk to the last of them.
+
+    A trial's streams do not depend on r, so its first slow request J is the
+    same at every r, and its indicator at r is J < r: one walk counts every
+    r, and each estimate equals run_rw_trials' at its r bit for bit.
+    """
     if protocol not in ("read", "write"):
         raise InvalidParamsError(f"protocol must be 'read' or 'write', got {protocol!r}")
     ClusterParams(n)
-    WorkloadParams(r)
+    for r in requests:
+        WorkloadParams(r)
 
     # a trial stops at its first slow request, expected after 1/p requests: p = 1/n a read, 3/n a write
     slots, expected = (4, n) if protocol == "read" else (3, -(-n // 3))
@@ -394,10 +438,11 @@ def run_rw_trials(
                               lambda s, f: _holds_node_zero(lambda k: tiles.raws(s, f + k), n))
         else:
             def touched(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-                return _holds_node_zero(lambda k: tiles.raws(states[:, None], firsts + k), n)
+                firsts = firsts[:, None]
+                return np.flatnonzero(_holds_node_zero(lambda k: tiles.raws(states, firsts + k), n))
 
         for states in batches:
-            yield ((_count_hit_trials(states, r, 0, slots, touched), states.size),)
+            yield [(hits, states.size) for hits in _count_hit_trials(states, requests, 0, slots, touched)]
 
-    per_trial = slots * min(r, expected)
-    return _sample(counts, master_seed, trials, workers, per_trial, _CHUNK_ELEMS, [protocol])[protocol]
+    per_trial = slots * min(requests[-1], expected)
+    return list(_sample(counts, master_seed, trials, workers, per_trial, _CHUNK_ELEMS, range(len(requests))).values())

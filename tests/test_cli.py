@@ -767,9 +767,9 @@ class TestBoundedMemory:
 
 class TestNoEstimateOutlivesItsRow:
     @pytest.mark.parametrize("argv, sampler, calls", [
-        (["sweep", "--protocol", "read", "--requests", "1", "--out", "{tmp}/x.csv"], "run_rw_trials", 5000),
-        # the write panels add the 40-request anchor at every n
-        (["figures", "--figure", "write", "--requests", "1", "--out", "{tmp}"], "run_rw_trials", 10000),
+        (["sweep", "--protocol", "read", "--requests", "1", "--out", "{tmp}/x.csv"], "_run_rw_column", 5000),
+        # the write panels add the 40-request anchor at every n, and walk r = 1 and 40 as one column
+        (["figures", "--figure", "write", "--requests", "1", "--out", "{tmp}"], "_run_rw_column", 5000),
         # the regeneration panels share the points (n, (n-1)k) for k in 1, 5, 10, 50, and the (100, 3200) anchor
         (["figures", "--figure", "node-cluster", "--out", "{tmp}"], "run_assumption_trials", 20001),
         (["figures", "--figure", "block", "--out", "{tmp}"], "run_assumption_trials", 20001),
@@ -783,8 +783,8 @@ class TestNoEstimateOutlivesItsRow:
         def stub(*args):
             alive_before.append(len(alive))
             alive[len(alive_before)] = estimate = EstimateSummary.from_counts(1, 2)
-            if sampler == "run_rw_trials":
-                return estimate
+            if sampler == "_run_rw_column":  # (protocol, n, requests, ...): one estimate serves the column
+                return [estimate] * len(args[2])
             return dict.fromkeys([model.NODE_DEGRADE, model.CLUSTER_DEGRADE, model.BLOCK_DEGRADE,
                                   model.ANY_BLOCK_DEGRADE], estimate)
 

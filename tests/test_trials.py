@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from limpprob import (
@@ -305,8 +305,8 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("budget", [trials._CHUNK_ELEMS, 1 << 12])
     def test_no_uniform_array_exceeds_the_budget(self, monkeypatch, budget):
         monkeypatch.setattr(trials, "_CHUNK_ELEMS", budget)
-        # raw values, uniforms, the protocol kernel's reused hash buffers and its lost-block uniforms
-        largest = dict.fromkeys(("raws_np", "uniforms_np", "raws_into", "to_uniforms"), 0)
+        # fresh raw values, the reused hash buffers of every sampler, and uniforms made from either
+        largest = dict.fromkeys(("raws_np", "raws_into", "to_uniforms"), 0)
         for name in largest:
             made = getattr(trials, name)
 
@@ -339,11 +339,7 @@ class TestMemoryBudget:
             "run_protocol_trials(50, 40833, 100, 1)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(trials.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) <= 2500
+        assert int(_child_stdout(code)) <= 2500
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults as Linux does")
     def test_assumption_and_read_tiles_reuse_their_memory(self):
@@ -360,21 +356,40 @@ class TestMemoryBudget:
             "    call()\n"
             "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(trials.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        faults = [int(count) for count in proc.stdout.split()]
+        faults = [int(count) for count in _child_stdout(code).split()]
         assert len(faults) == 2 and max(faults) <= 2000, faults
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults as Linux does")
+    def test_first_large_call_in_a_fresh_process_reuses_its_memory(self):
+        # a read call at (1000, 1000) x 20,000 trials after a small warm-up: until glibc has freed one block of a
+        # tile's size, it maps and unmaps each temporary above 128 KB, 37,000 to 97,000 faults; about 900
+        code = (
+            "import resource\n"
+            "from limpprob.trials import run_rw_trials\n"
+            "run_rw_trials('read', 1000, 1000, 100, 1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_rw_trials('read', 1000, 1000, 20000, 1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert int(_child_stdout(code)) <= 2000
+
+
+def _child_stdout(code):
+    """Standard output of a fresh Python process that runs code with this package importable; it must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trials.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def _draws_by_slot(monkeypatch, base, slots, run):
     """Raw values and uniforms drawn at positions >= base while run() runs, counted by (position - base) % slots.
 
-    Draws are fresh arrays (raws_np, uniforms_np) or tiles hashed into a thread range's buffers (_Tiles.raws).
+    Draws are fresh arrays (raws_np) or tiles hashed into a thread range's buffers (_Tiles.raws).
     """
     drawn = np.zeros(slots, dtype=np.int64)
-    for owner, name in ((trials, "raws_np"), (trials, "uniforms_np"), (trials._Tiles, "raws")):
+    for owner, name in ((trials, "raws_np"), (trials._Tiles, "raws")):
         draw = getattr(owner, name)
 
         def counting(*args, draw=draw):  # (states, positions), after the buffers for _Tiles.raws
@@ -450,10 +465,12 @@ class TestSamplerInputs:
 class TestRwTrials:
     @pytest.mark.parametrize("protocol", ["read", "write"])
     def test_matches_one_request_loop(self, protocol):
-        for n, r in ((5, 1), (10, 7), (23, 40), (50, 300), (200, 1000)):
-            est = run_rw_trials(protocol, n, r, 3000, master_seed=17)
-            assert est.successes == _rw_reference(protocol, n, r, 3000, 17)
-            assert est.trials == 3000
+        # 7 trials widen the first-hit rounds to 489 requests: a tile then holds more requests than trials
+        for n, r, count in ((5, 1, 3000), (10, 7, 3000), (23, 40, 3000), (50, 300, 3000), (200, 1000, 3000),
+                            (200, 1000, 7)):
+            est = run_rw_trials(protocol, n, r, count, master_seed=17)
+            assert est.successes == _rw_reference(protocol, n, r, count, 17)
+            assert est.trials == count
 
     @pytest.mark.parametrize("protocol", ["read", "write"])
     def test_matches_one_request_loop_at_five_nodes(self, protocol):
@@ -490,6 +507,36 @@ class TestRwTrials:
             run_rw_trials("read", 10, 1, 0, master_seed=0)
 
 
+def _assert_column_matches_the_calls(protocol, n, requests, count, seed, workers):
+    column = trials._run_rw_column(protocol, n, requests, count, seed, workers)
+    assert column == [run_rw_trials(protocol, n, r, count, seed, workers) for r in requests]
+
+
+# a read or write column: ascending request counts, 0 among the values drawn
+_COLUMNS = {
+    "protocol": st.sampled_from(["read", "write"]),
+    "n": st.integers(min_value=3, max_value=80),
+    "requests": st.lists(st.integers(min_value=0, max_value=150), min_size=1, max_size=5).map(sorted),
+    "count": st.integers(min_value=1, max_value=300),
+    "seed": st.integers(min_value=0, max_value=2**64 - 1),
+}
+
+
+class TestRwColumn:
+    """One walk per column gives every r the estimate of its own run_rw_trials call, bit for bit."""
+
+    @given(**_COLUMNS)
+    @settings(max_examples=30, deadline=None)
+    def test_equals_the_call_at_each_r(self, protocol, n, requests, count, seed):
+        _assert_column_matches_the_calls(protocol, n, requests, count, seed, workers=1)
+
+    @given(**_COLUMNS)
+    @example(protocol="read", n=50, requests=[0, 1, 10, 150], count=300, seed=7)  # splits: 300 x 200 positions
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_equals_the_call_at_each_r_over_threads(self, split_calls, protocol, n, requests, count, seed):
+        _assert_column_matches_the_calls(protocol, n, requests, count, seed, workers=4)
+
+
 class TestAssumptionTrials:
     def test_node_anchor(self):
         est = run_assumption_trials(RegenParams(10, 90), 200_000, master_seed=21)
@@ -524,11 +571,16 @@ class TestAssumptionTrials:
         three = run_assumption_trials(RegenParams(10, 90), 20_000, master_seed=9, workers=3)
         assert one == three
 
-    def test_matches_scalar_stream_layout(self):
-        for n, b in ((10, 50), (12, 22), (10, 9), (7, 0)):
-            est = run_assumption_trials(RegenParams(n, b), 300, master_seed=31)
+    def test_matches_scalar_stream_layout(self, monkeypatch):
+        for n, b, count, budget in ((10, 50, 300, None), (12, 22, 300, None), (10, 9, 300, None), (7, 0, 300, None),
+                                    (300, 600, 5, 1 << 12)):
+            if budget:
+                # tiles of 256 positions: node-pass tiles of 256 nodes x 1 trial, and first-hit rounds of up to
+                # 32 blocks x 5 trials, which hold more elements than trials
+                monkeypatch.setattr(trials, "_CHUNK_ELEMS", budget)
+            est = run_assumption_trials(RegenParams(n, b), count, master_seed=31)
             got = [est[m].successes for m in (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)]
-            assert got == _assumption_reference(n, b, 300, 31)
+            assert got == _assumption_reference(n, b, count, 31), (n, b)
 
     def test_matches_scalar_stream_layout_at_low_high_and_fractional_q(self):
         # q = 0.018 at (50, 490), 0.92 at (10, 450); m = 14/9 at (10, 14)
