@@ -22,14 +22,14 @@ subset of a trial's positions, e.g. only the ones that can still change its
 outcome, and the positions it does read keep their values.
 
 Stream layouts per trial (changing one changes simulated CSV rows):
-assumption sampler: one node indicator per good node at [0, n-2), the
-survivor pair at n-2 and n-1, then any-block block j at n+3j (with-slow
-coin), n+3j+1 and n+3j+2 (holders 1 and 2).  Reads: request j at [4j, 4j+3)
-(placement) and 4j+3 (replica choice); writes: [3j, 3j+3).  Protocol:
-placed block i at [3i, 3i+3) (its three raw replica indices), then the k-th
-lost block in block-id order, k = 0, 1, ..., at 3*b_total + 2k (source coin)
-and 3*b_total + 2k + 1 (destination rank).  The protocol layout is pinned
-by a per-trial replay in tests/test_trials.py that reads it through
+assumption sampler: one node indicator per good node at [0, n-2), then block j
+at n+3j (with-slow coin), n+3j+1 and n+3j+2 (holders 1 and 2), n-2 and n-1
+unread; block 0 is also the per-block draw.  Reads: request j at [4j, 4j+3)
+(placement) and 4j+3 (replica choice); writes: [3j, 3j+3).  Protocol: placed
+block i at [3i, 3i+3) (its three raw replica indices), then the k-th lost block
+in block-id order, k = 0, 1, ..., at 3*b_total + 2k (source coin) and
+3*b_total + 2k + 1 (destination rank).  The protocol layout is pinned by a
+per-trial replay in tests/test_trials.py that reads it through
 :class:`TrialStream` and applies the protocol rules block by block.
 
 Every sampler decision that is a yes or no, u < x or index(u, k) == 0, reads
@@ -78,7 +78,7 @@ def step_terms_np(positions: np.ndarray) -> np.ndarray:
     """(positions + 1) * GOLDEN mod 2**64: raw(state, pos) is the avalanche of state plus this term.
 
     Array arithmetic wraps silently; a numpy scalar argument needs the
-    caller's ``np.errstate(over="ignore")``, as in :func:`uniforms_np`.
+    caller's ``np.errstate(over="ignore")``, as in :func:`raws_np`.
     """
     steps = positions + _U_ONE
     steps *= _U_GOLDEN

@@ -27,17 +27,18 @@ parallel work: a call splits only into ranges of at least ``_CHUNK_ELEMS``
 stream positions each, at most one per usable CPU, so a call below two chunks
 runs in the calling thread (a smaller one cannot release the GIL long enough
 for a second thread to pay).  Every array a sampler hashes per block, node or
-request (placement, node pass, survivor pair, first-hit rounds and the draws
-gated behind a first test) is one tile of at most ``_CHUNK_ELEMS >> 4``
-positions, hashed into the two buffers of a :class:`_Tiles` that each thread
-range makes once; only the protocol plan's few draws per lost block are fresh
-arrays.  The node pass, the survivor pair and the first-hit rounds lay a tile
-out as (elements, trials), with the trials inner, so numpy's inner loops run
-along up to thousands of trials, not along 1 to 256 elements.  A first-hit
-round's ``hits`` returns the hit pairs as ascending flat indices into its
-tile (elements outer), so a trial's first hit is the first index that names
-it, and :func:`_count_hit_trials` counts, for each of several ascending cuts,
-the trials hit below it: every r of a read/write column comes from one walk.
+request (placement, node pass, first-hit rounds and the draws gated behind a
+first test) is one tile of at most ``_CHUNK_ELEMS >> 4`` positions, hashed
+into the two buffers of a :class:`_Tiles` that each thread range makes once;
+only the protocol plan's few draws per lost block are fresh arrays.  The node
+pass and the first-hit rounds lay a tile out as (elements, trials), with the
+trials inner, so numpy's inner loops run along up to thousands of trials, not
+along 1 to 256 elements.  A first-hit round's ``hits`` returns the hit pairs
+as ascending flat indices into its tile (elements outer), so a trial's first
+hit is the first index that names it, and :func:`_count_hit_trials` counts,
+for each of several ascending cuts, the trials hit below it: every r of a
+read/write column comes from one walk, and the assumption sampler's per-block
+and any-block indicators from another.
 
 Estimates are keyed by the metric names of :mod:`limpprob.model`.  This module
 and :mod:`limpprob.rng` are the only ones that import numpy; the package root
@@ -336,12 +337,12 @@ def run_assumption_trials(
     below q, the exact law of >= 2 slow hits among floor(m) +
     Bernoulli(frac(m)) copy tasks, so the estimates converge to
     :func:`limpprob.model.assumption_targets` at every b.  The cluster
-    indicator needs all good nodes degraded.  The per-block indicator places
-    the block's two surviving copies on a uniform pair of the n-1 survivors
-    and checks the degraded-block predicate against the trial's node
-    indicators.  The any-block indicator draws, for each of the b blocks,
-    fresh independent indicators for its holders, mirroring the independence
-    the closed form assumes across blocks.  The stream layout is in
+    indicator needs all good nodes degraded.  Each of the b blocks draws
+    fresh indicators for its two surviving holders, as independent as the
+    closed form assumes: one is degraded (odds q), and the other is the slow
+    node (odds 2/(n-1), a uniform survivor pair's) or degraded.  One
+    first-hit walk gives the per-block indicator, block 0 degraded, and the
+    any-block one.  The stream layout is in
     :mod:`limpprob.rng`; each u < q and u < 2/(n-1) is read as a raw value
     against its :func:`~limpprob.rng.uniform_limit`.
     """
@@ -351,8 +352,7 @@ def run_assumption_trials(
     q_limit, coin_limit = uniform_limit(q), uniform_limit(2.0 / (n - 1))
     # node pass: batches of _CHUNK_ELEMS // good trials, hashed in tiles of cols nodes x rows trials
     batch, cols = max(1, _CHUNK_ELEMS // good), min(good, _tile())
-    rows, pair_rows = _tile() // cols, max(1, _tile() // 2)
-    pair = np.arange(good, good + 2, dtype=np.uint64)[:, None]  # the survivor pair's positions
+    rows = _tile() // cols
 
     def counts(batches):
         tiles = _Tiles()
@@ -362,12 +362,8 @@ def run_assumption_trials(
             return _gated(tiles, states, firsts, 1, q_limit,
                           lambda s, f: (tiles.raws(s, f) < coin_limit) | (tiles.raws(s, f + 2) < q_limit))
 
-        def slow_or_degraded(states: np.ndarray, survivor: np.ndarray) -> np.ndarray:
-            # survivor 0 is the slow node, survivor k >= 1 the good node whose indicator sits at k - 1
-            return (survivor == 0) | (tiles.raws(states, np.maximum(survivor - 1, 0).astype(np.uint64)) < q_limit)
-
         for states in batches:
-            size, node_hits, block_hits = states.size, 0, 0
+            size, node_hits = states.size, 0
             cluster = np.ones(size, dtype=bool)
             for c in range(0, good, cols):
                 nodes = np.arange(c, min(good, c + cols), dtype=np.uint64)[:, None]
@@ -375,20 +371,12 @@ def run_assumption_trials(
                     degraded = tiles.raws(states[row : row + rows], nodes) < q_limit
                     node_hits += np.count_nonzero(degraded)
                     cluster[row : row + rows] &= degraded.all(axis=0)
-            # one block on a uniform survivor pair, hashed in tiles of 2 x pair_rows trials
-            for row in range(0, size, pair_rows):
-                tile_states = states[row : row + pair_rows]
-                u = to_uniforms(tiles.raws(tile_states, pair))
-                first, second = to_index(u[0], n - 1), to_index(u[1], n - 2)
-                second += second >= first
-                on = slow_or_degraded(tile_states, first)  # read before the second holder is hashed
-                block_hits += np.count_nonzero(on & slow_or_degraded(tile_states, second))
-            # with q = 0 no block can be degraded, so skip drawing them
-            any_hits, = _count_hit_trials(states, [b if q > 0.0 else 0], good + 2, 3, block_degraded)
+            # block 0 is the per-block estimate, blocks 0 .. b-1 the any-block one; with q = 0 none is drawn
+            block_hits, any_hits = _count_hit_trials(states, [1, b] if q > 0.0 else [0, 0], n, 3, block_degraded)
             yield (node_hits, size * good), (cluster.sum(), size), (block_hits, size), (any_hits, size)
 
-    # a trial reads n node and pair positions, then 3 per block up to its first degraded one,
-    # expected after 1/p blocks: p = q * P(holder 2 is the slow node or degraded)
+    # a trial reads its n - 2 node positions (counted as n: n - 2 and n - 1 go unread), then 3 per block up to
+    # its first degraded one, expected after 1/p blocks: p = q * P(holder 2 is the slow node or degraded)
     p = q * (1.0 - (1.0 - 2.0 / (n - 1)) * (1.0 - q))
     expected = n + 3 * int(min(b, -(-1.0 // p))) if q > 0.0 else n
     return _sample(counts, master_seed, trials, workers, expected, batch, _REGEN_METRICS)

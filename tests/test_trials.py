@@ -41,7 +41,7 @@ from limpprob.rng import (
     uniform_limit,
     uniforms_np,
 )
-from limpprob.model import _node_target, protocol_targets
+from limpprob.model import _node_target, assumption_targets, protocol_targets
 from limpprob.trials import _partition
 from stream_ref import stream_uniform, trial_state
 
@@ -178,12 +178,11 @@ def _assumption_reference(n, b, count, seed):
         degraded = [stream_uniform(state, k) < q for k in range(good)]
         node += sum(degraded)
         cluster += all(degraded)
-        first = min(int(stream_uniform(state, good) * (n - 1)), n - 2)
-        second = min(int(stream_uniform(state, good + 1) * (n - 2)), n - 3)
-        second += second >= first
-        block += all(h == 0 or degraded[h - 1] for h in (first, second))
-        u = lambda j, slot: stream_uniform(state, good + 2 + 3 * j + slot)
-        any_block += any(u(j, 1) < q and (u(j, 0) < 2.0 / (n - 1) or u(j, 2) < q) for j in range(b))
+        u = lambda j, slot: stream_uniform(state, n + 3 * j + slot)
+        # holder 1 degraded, and holder 2 the slow node (odds 2/(n-1)) or degraded; block 0 is the per-block draw
+        hit = [u(j, 1) < q and (u(j, 0) < 2.0 / (n - 1) or u(j, 2) < q) for j in range(b)]
+        block += b > 0 and hit[0]
+        any_block += any(hit)
     return [node, cluster, block, any_block]
 
 
@@ -572,8 +571,9 @@ class TestAssumptionTrials:
         assert one == three
 
     def test_matches_scalar_stream_layout(self, monkeypatch):
+        # (5, 12): the smallest n, with q = 7/27 and a with-slow coin of odds 1/2
         for n, b, count, budget in ((10, 50, 300, None), (12, 22, 300, None), (10, 9, 300, None), (7, 0, 300, None),
-                                    (300, 600, 5, 1 << 12)):
+                                    (5, 12, 300, None), (300, 600, 5, 1 << 12)):
             if budget:
                 # tiles of 256 positions: node-pass tiles of 256 nodes x 1 trial, and first-hit rounds of up to
                 # 32 blocks x 5 trials, which hold more elements than trials
@@ -588,6 +588,16 @@ class TestAssumptionTrials:
             est = run_assumption_trials(RegenParams(n, b), 100, master_seed=31)
             got = [est[m].successes for m in (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)]
             assert got == _assumption_reference(n, b, 100, 31), (n, b)
+
+    def test_block_law_is_the_model_target(self):
+        # a block is degraded when holder 1 is (odds q) and holder 2 is the slow node (odds 2/(n-1)) or degraded:
+        # the law of every block of the walk, block 0 the per-block draw, must be the model's per-block limit
+        for n in (5, 6, 7, 10, 30, 100, 10_000):
+            for b in sorted({k * (n - 1) + extra for k in (0, 1, 2, 3, 10, 50) for extra in (0, 1, (n - 1) // 2)}):
+                q = _node_target(n, b)
+                law = q * (2.0 / (n - 1) + (n - 3) * q / (n - 1))
+                want = assumption_targets(RegenParams(n, b))[BLOCK_DEGRADE]
+                assert law == pytest.approx(want, rel=1e-10, abs=0.0), (n, b)
 
     def test_interval_shape(self):
         est = run_assumption_trials(RegenParams(30, 290), 20_000, master_seed=8)
