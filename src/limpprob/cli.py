@@ -451,13 +451,13 @@ def _figure_panels(cfg: dict):
     their points once, together, so that each point's one sampler run serves its rows in every panel and is
     dropped after them."""
     figures = _FIGURES if cfg["figure"] in (None, "all") else [cfg["figure"]]
+    estimates = _memoised_estimates(keep=False)  # no walk returns to a column or point it has left
     walks = []  # (panel, its rows) of the read and write panels
     for figure in figures:
         if figure in ("read", "write"):
             requests = sorted({*cfg["requests"], _WRITE_R_ANCHOR}) if figure == "write" else cfg["requests"]
             panel = {**cfg, "requests": requests}  # its sampler walks each n's column of these r values once
             nodes = ((n, None) for n in cfg["nodes"])
-            estimates = _memoised_estimates(keep=False)
             walks += [
                 (f"{figure}_request_prob", _point_rows(cfg, estimates, figure, [f"{figure}_degrade"], nodes)),
                 (f"{figure}_user_prob",
@@ -469,7 +469,6 @@ def _figure_panels(cfg: dict):
         for panel, rows in walks:
             yield from ((panel, row) for row in rows)
         for point in _figure_points(cfg) if regen else ():
-            estimates = _memoised_estimates()  # the point's one sampler run, for all its regeneration panels
             for panel, protocol in regen.items():
                 yield from ((panel, row) for row in _point_rows(cfg, estimates, protocol, _metrics(protocol), [point]))
 

@@ -33,11 +33,11 @@ per-trial replay in tests/test_trials.py that reads it through
 :class:`TrialStream` and applies the protocol rules block by block.
 
 Every sampler decision that is a yes or no, u < x or index(u, k) == 0, reads
-the raw 64-bit values (:func:`raws_np`, or :func:`raws_into` into buffers the
-caller reuses) and tests them against an exact integer threshold,
-:func:`uniform_limit` or :func:`index_limit`: the same positions give the same
-outcomes as the uniforms, without the shift and float conversion.  Uniforms
-are made only where an index is drawn.
+the raw 64-bit values (:func:`raws_into`, into buffers the caller reuses) and
+tests them against an exact integer threshold, :func:`uniform_limit` or
+:func:`index_limit`: the same positions give the same outcomes as the
+uniforms, without the shift and float conversion.  Uniforms are made only
+where an index is drawn.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def step_terms_np(positions: np.ndarray) -> np.ndarray:
     """(positions + 1) * GOLDEN mod 2**64: raw(state, pos) is the avalanche of state plus this term.
 
     Array arithmetic wraps silently; a numpy scalar argument needs the
-    caller's ``np.errstate(over="ignore")``, as in :func:`raws_np`.
+    caller's ``np.errstate(over="ignore")``, as in :func:`uniforms_np`.
     """
     steps = positions + _U_ONE
     steps *= _U_GOLDEN
@@ -109,18 +109,10 @@ def to_uniforms(raws: np.ndarray) -> np.ndarray:
     return u
 
 
-def raws_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Vectorized raw 64-bit values; broadcasts states against positions.
-
-    Both arguments must be uint64 arrays (or broadcastable shapes thereof).
-    """
-    with np.errstate(over="ignore"):  # wraparound mod 2**64 is the algorithm
-        return _avalanche_np(states + step_terms_np(positions))
-
-
 def uniforms_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Vectorized uniforms: :func:`to_uniforms` of :func:`raws_np`."""
-    return to_uniforms(raws_np(states, positions))
+    """Vectorized uniforms, in a fresh array; broadcasts uint64 states against uint64 positions."""
+    with np.errstate(over="ignore"):  # wraparound mod 2**64 is the algorithm
+        return to_uniforms(_avalanche_np(states + step_terms_np(positions)))
 
 
 def uniform_limit(x: float) -> int:

@@ -27,13 +27,13 @@ parallel work: a call splits only into ranges of at least ``_CHUNK_ELEMS``
 stream positions each, at most one per usable CPU, so a call below two chunks
 runs in the calling thread (a smaller one cannot release the GIL long enough
 for a second thread to pay).  Every array a sampler hashes per block, node or
-request (placement, node pass, first-hit rounds and the draws gated behind a
-first test) is one tile of at most ``_CHUNK_ELEMS >> 4`` positions, hashed
-into the two buffers of a :class:`_Tiles` that each thread range makes once;
-only the protocol plan's few draws per lost block are fresh arrays.  The node
-pass and the first-hit rounds lay a tile out as (elements, trials), with the
-trials inner, so numpy's inner loops run along up to thousands of trials, not
-along 1 to 256 elements.  A first-hit round's ``hits`` returns the hit pairs
+request (placement and the protocol plan's rank and coin draws, node pass,
+first-hit rounds and the draws gated behind a first test) is one tile of at
+most ``_CHUNK_ELEMS >> 4`` positions, hashed by :meth:`_Tiles.hash` into the
+two buffers that each thread range makes once.  The node pass and the
+first-hit rounds lay a tile out as (elements, trials), with the trials inner,
+so numpy's inner loops run along up to thousands of trials, not along 1 to
+256 elements.  A first-hit round's ``hits`` returns the hit pairs
 as ascending flat indices into its tile (elements outer), so a trial's first
 hit is the first index that names it, and :func:`_count_hit_trials` counts,
 for each of several ascending cuts, the trials hit below it: every r of a
@@ -59,7 +59,6 @@ from .rng import (
     advance_np,
     index_limit,
     raws_into,
-    raws_np,
     step_terms_np,
     to_index,
     to_uniforms,
@@ -136,12 +135,13 @@ def _sample(counts, master_seed: int, trials: int, workers: int, per_trial: int,
 class _Tiles:
     """The two uint64 hash buffers of one thread range, made in its ``counts(batches)`` call.
 
-    Each tile hashes into views of them, so once they have grown (lazily, to
-    the largest tile the range asks for) a range hashes without fresh memory.
-    Fresh temporaries per ufunc cost the protocol kernel about 35,000 more
-    page faults on the compare grid.  Tile-sized ones in only some passes cost
-    more still: with nothing large ever freed, glibc's mmap threshold never
-    rises, and each one is mapped and unmapped.
+    :meth:`hash` hashes every stream position a sampler reads into views of
+    them, so once they have grown (lazily, to the largest tile the range asks
+    for) a range hashes without fresh memory.  Fresh temporaries per ufunc
+    cost the protocol kernel about 35,000 more page faults on the compare
+    grid.  Tile-sized ones in only some passes cost more still: with nothing
+    large ever freed, glibc's mmap threshold never rises, and each one is
+    mapped and unmapped.
     """
 
     __slots__ = ("raw", "scratch")
@@ -149,8 +149,10 @@ class _Tiles:
     def __init__(self):
         self.raw = self.scratch = np.empty(0, dtype=np.uint64)
 
-    def views(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(out, scratch) arrays of this shape for :func:`~limpprob.rng.raws_into`, valid until the next call."""
+    def hash(self, states: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Raw values at the :func:`~limpprob.rng.step_terms_np` steps of uint64 states, broadcast together and
+        hashed in the buffers: valid until the next call."""
+        shape = np.broadcast(states, steps).shape
         size = math.prod(shape)
         if size > self.raw.size:
             # a block of this size, freed at once: glibc then raises its mmap threshold to it, so the smaller
@@ -159,12 +161,18 @@ class _Tiles:
             # read call at (1000, 1000) x 20,000 trials
             np.empty(size, dtype=np.uint64)
             self.raw, self.scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-        return self.raw[:size].reshape(shape), self.scratch[:size].reshape(shape)
+        return raws_into(self.raw[:size].reshape(shape), states, steps, self.scratch[:size].reshape(shape))
 
     def raws(self, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """``raws_np(states, positions)`` of uint64 arrays, hashed in the buffers: valid until the next call."""
-        out, scratch = self.views(np.broadcast(states, positions).shape)
-        return raws_into(out, states, step_terms_np(positions), scratch)
+        """Raw values of uint64 states at uint64 positions, broadcast together: :meth:`hash` of their steps."""
+        return self.hash(states, step_terms_np(positions))
+
+    def below(self, states: np.ndarray, positions: np.ndarray, limit: int) -> np.ndarray:
+        """Whether the raw values of state and position vectors are below limit, hashed one tile at a time."""
+        out, tile = np.empty(positions.size, dtype=bool), _tile()
+        for i in range(0, positions.size, tile):
+            np.less(self.raws(states[i : i + tile], positions[i : i + tile]), limit, out=out[i : i + tile])
+        return out
 
 
 def _holds_node_zero(raw, n: int) -> np.ndarray:
@@ -207,7 +215,8 @@ def run_protocol_trials(
     its indices less their maximum, and that maximum.  The destination is node
     1 iff the rank is 0 and node 1 holds no copy, so the coin is read only for
     tasks bound for node 1; rank and coin are read as raw values against their
-    :func:`~limpprob.rng.index_limit` and :func:`~limpprob.rng.uniform_limit`.
+    :func:`~limpprob.rng.index_limit` and :func:`~limpprob.rng.uniform_limit`,
+    hashed in the same buffers a tile of lost blocks at a time.
     n is capped at _CHUNK_ELEMS, and b_total by the stages' footprint: a trial's
     expected 3 * b_total / n lost blocks may fill 60% of _CHUNK_ELEMS with raw
     values, so b_total <= _CHUNK_ELEMS * n // 15 (349,525 at n = 5), and every n
@@ -237,11 +246,10 @@ def run_protocol_trials(
             for row in range(0, size, rows):
                 tile_states = states[row : row + rows]
                 for first in range(0, b_total, cols):
-                    raw, scratch = tiles.views((3, tile_states.size, min(cols, b_total - first)))
-                    raws = raws_into(raw, advance_np(tile_states, 3 * first)[:, None], steps[..., : raw.shape[2]],
-                                     scratch).reshape(3, -1)
+                    width = min(cols, b_total - first)
+                    raws = tiles.hash(advance_np(tile_states, 3 * first)[:, None], steps[..., :width]).reshape(3, -1)
                     lost = np.flatnonzero(_holds_node_zero(raws.__getitem__, n))
-                    trial_parts.append(lost // raw.shape[2] + row)
+                    trial_parts.append(lost // width + row)
                     raw_parts.append(raws[:, lost])
             trial = np.concatenate(trial_parts)  # trial, then block-id order
             u = to_uniforms(np.concatenate(raw_parts, axis=1))
@@ -258,8 +266,8 @@ def run_protocol_trials(
             k = np.arange(trial.size) - (np.cumsum(per_trial) - per_trial)[trial]
             ranks = (3 * b_total + 1 + 2 * k).astype(np.uint64)
             lost_states = states[trial]
-            to_slow = np.flatnonzero((raws_np(lost_states, ranks) < rank_limit) & (mid != 1))
-            heads = raws_np(lost_states[to_slow], ranks[to_slow] - np.uint64(1)) < coin_limit
+            to_slow = np.flatnonzero(tiles.below(lost_states, ranks, rank_limit) & (mid != 1))
+            heads = tiles.below(lost_states[to_slow], ranks[to_slow] - np.uint64(1), coin_limit)
             sources = np.where(heads, mid[to_slow], high[to_slow])
             # classify: a good node is degraded by >= 2 of its tasks bound for node 1;
             # nodes 0 and 1 source none of those, so their cells stay 0

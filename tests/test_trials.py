@@ -27,6 +27,7 @@ from limpprob import (
     RegenParams,
     block_degrade_breakdown,
     enum_slow_dest_prob,
+    rng,
     run_assumption_trials,
     run_protocol_trials,
     run_rw_trials,
@@ -304,8 +305,8 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("budget", [trials._CHUNK_ELEMS, 1 << 12])
     def test_no_uniform_array_exceeds_the_budget(self, monkeypatch, budget):
         monkeypatch.setattr(trials, "_CHUNK_ELEMS", budget)
-        # fresh raw values, the reused hash buffers of every sampler, and uniforms made from either
-        largest = dict.fromkeys(("raws_np", "raws_into", "to_uniforms"), 0)
+        # the reused hash buffers of every sampler, and uniforms made from the raw values gathered there
+        largest = dict.fromkeys(("raws_into", "to_uniforms"), 0)
         for name in largest:
             made = getattr(trials, name)
 
@@ -323,8 +324,24 @@ class TestMemoryBudget:
             run_rw_trials(protocol, 1000, 1000, 3000, master_seed=1)
         run_protocol_trials(10, 300, 500, master_seed=1)
         run_protocol_trials(30, budget // 3, 2, master_seed=1)  # one trial at the placement cap
+        run_protocol_trials(10, budget // 4, 1, master_seed=1)  # one trial that loses more blocks than a tile
         assert 0 < min(largest.values()) and max(largest.values()) <= budget
         assert largest["raws_into"] <= budget >> 4  # one placement tile
+
+    @pytest.mark.parametrize("budget", [1 << 20, 1 << 12])
+    def test_protocol_plan_hashes_in_tiles(self, monkeypatch, budget):
+        # at (10, budget // 4) a trial loses about 0.3 * budget // 4 blocks, more than the budget >> 4 of a tile:
+        # their rank draws fill whole tiles, and placement tiles hold 3 * (tile // 3) positions
+        monkeypatch.setattr(trials, "_CHUNK_ELEMS", budget)
+        avalanche, largest = rng._avalanche_np, []
+
+        def recording(z, *args):
+            largest.append(z.size)
+            return avalanche(z, *args)
+
+        monkeypatch.setattr(rng, "_avalanche_np", recording)
+        run_protocol_trials(10, budget // 4, 1, master_seed=1)
+        assert max(largest) == budget >> 4
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults as Linux does")
     def test_protocol_batches_reuse_their_memory(self):
@@ -385,20 +402,19 @@ def _child_stdout(code):
 def _draws_by_slot(monkeypatch, base, slots, run):
     """Raw values and uniforms drawn at positions >= base while run() runs, counted by (position - base) % slots.
 
-    Draws are fresh arrays (raws_np) or tiles hashed into a thread range's buffers (_Tiles.raws).
+    Draws are tiles hashed into a thread range's buffers by position (_Tiles.raws).
     """
     drawn = np.zeros(slots, dtype=np.int64)
-    for owner, name in ((trials, "raws_np"), (trials._Tiles, "raws")):
-        draw = getattr(owner, name)
+    draw = trials._Tiles.raws
 
-        def counting(*args, draw=draw):  # (states, positions), after the buffers for _Tiles.raws
-            u = draw(*args)
-            pos = np.broadcast_to(args[-1], u.shape)
-            pos = pos[pos >= base].astype(np.int64) - base
-            drawn[:] += np.bincount(pos % slots, minlength=slots)
-            return u
+    def counting(*args):  # (the range's tiles, states, positions)
+        u = draw(*args)
+        pos = np.broadcast_to(args[-1], u.shape)
+        pos = pos[pos >= base].astype(np.int64) - base
+        drawn[:] += np.bincount(pos % slots, minlength=slots)
+        return u
 
-        monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(trials._Tiles, "raws", counting)
     run()
     return drawn
 
