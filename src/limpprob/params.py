@@ -30,7 +30,7 @@ class Record:
 
     A subclass takes its fields by position or keyword, in ``__slots__`` order,
     and checks the ones its ``_counts`` lists by :func:`_count`.  Records refuse
-    assignment, compare, hash and print by field, and can be weakly referenced.
+    assignment, compare, hash, print and pickle by field, and can be weakly referenced.
     ``dataclasses`` builds the same at import time, but loads ``inspect`` and
     ``ast`` to do it, about 10 ms of every CLI start.
     """
@@ -57,6 +57,9 @@ class Record:
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __reduce__(self):
+        return type(self), self._fields()  # pickle and copy rebuild through __init__, not the refusing __setattr__
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -32,12 +32,12 @@ in block-id order, k = 0, 1, ..., at 3*b_total + 2k (source coin) and
 per-trial replay in tests/test_trials.py that reads it through
 :class:`TrialStream` and applies the protocol rules block by block.
 
-Every sampler decision that is a yes or no, u < x or index(u, k) == 0, reads
-the raw 64-bit values (:func:`raws_into`, into buffers the caller reuses) and
-tests them against an exact integer threshold, :func:`uniform_limit` or
-:func:`index_limit`: the same positions give the same outcomes as the
-uniforms, without the shift and float conversion.  Uniforms are made only
-where an index is drawn.
+Every sampler decision reads raw 64-bit values (:func:`raws_into`, into
+buffers the caller reuses): a yes or no, u < x or index(u, k) == 0, against
+an exact integer threshold, :func:`uniform_limit` or :func:`index_limit`, and
+an index by :func:`to_index`.  Each gives the outcome of the position's
+uniform, but no sampler makes one: :func:`uniforms_np` serves
+:class:`TrialStream` and the tests.
 """
 
 from __future__ import annotations
@@ -101,18 +101,14 @@ def raws_into(out: np.ndarray, states: np.ndarray, steps: np.ndarray, scratch: n
     return _avalanche_np(out, scratch)
 
 
-def to_uniforms(raws: np.ndarray) -> np.ndarray:
-    """Uniforms (raw >> 11) * 2**-53 of a uint64 array the caller owns (shifted in place)."""
+def uniforms_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Vectorized uniforms, in a fresh array; broadcasts uint64 states against uint64 positions."""
+    with np.errstate(over="ignore"):  # wraparound mod 2**64 is the algorithm
+        raws = _avalanche_np(states + step_terms_np(positions))
     raws >>= _SH11
     u = raws.astype(np.float64)
     u *= _INV53
     return u
-
-
-def uniforms_np(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Vectorized uniforms, in a fresh array; broadcasts uint64 states against uint64 positions."""
-    with np.errstate(over="ignore"):  # wraparound mod 2**64 is the algorithm
-        return to_uniforms(_avalanche_np(states + step_terms_np(positions)))
 
 
 def uniform_limit(x: float) -> int:
@@ -126,7 +122,7 @@ def uniform_limit(x: float) -> int:
 
 
 def index_limit(k: int) -> int:
-    """The raw values below this are the ones whose :func:`to_index` in range(k) is 0.
+    """The raw values below this are the ones whose :func:`to_index` of bound k is 0.
 
     ((raw >> 11) * 2**-53) * k < 1.0 holds iff raw < ceil(2**53 / k) << 11:
     with j = raw >> 11, fl(j * k) < 2**53 iff j * k < 2**53, because integers
@@ -136,12 +132,20 @@ def index_limit(k: int) -> int:
     return -(-(1 << 53) // k) << 11
 
 
-def to_index(u: np.ndarray, bound: int) -> np.ndarray:
-    """Map uniforms in [0, 1) to integers in [0, bound).
+def to_index(raws: np.ndarray, bound) -> np.ndarray:
+    """Indices min(floor(u * bound), bound - 1) of the uniforms u of the raws, a uint64 array the caller owns.
 
-    The clamp guards against u * bound rounding up to bound in float64.
+    The raws are shifted in place to j = raw >> 11, and j * (bound * 2**-53)
+    rounds the exact product once, as (j * 2**-53) * bound does; the clamp
+    guards against its rounding up.  bound may broadcast, as one per row.
+    The indices overwrite the raws, an int64 view of their memory.
     """
-    return np.minimum((u * bound).astype(np.int64), bound - 1)
+    raws >>= _SH11
+    x = raws * (bound * _INV53)
+    np.minimum(x, bound - 1, out=x)
+    indices = raws.view(np.int64)
+    np.copyto(indices, x, casting="unsafe")  # truncation floors x >= 0
+    return indices
 
 
 def trial_states_np(master_seed: int, trial_indices: np.ndarray) -> np.ndarray:

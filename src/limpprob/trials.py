@@ -55,20 +55,11 @@ import numpy as np
 from .errors import InvalidParamsError
 from .model import ANY_BLOCK_DEGRADE, BLOCK_DEGRADE, CLUSTER_DEGRADE, NODE_DEGRADE, _node_target
 from .params import ClusterParams, RegenParams, WorkloadParams, _count
-from .rng import (
-    advance_np,
-    index_limit,
-    raws_into,
-    step_terms_np,
-    to_index,
-    to_uniforms,
-    trial_states_np,
-    uniform_limit,
-)
+from .rng import advance_np, index_limit, raws_into, step_terms_np, to_index, trial_states_np, uniform_limit
 from .stats import EstimateSummary
 
-# The one memory budget: every transient uniform array holds about this many
-# elements at most, and a protocol trial's expected lost blocks 60% of it.
+# The one memory budget: every transient array a sampler fills holds about this
+# many elements at most, and a protocol trial's expected lost blocks 60% of it.
 _CHUNK_ELEMS = 1 << 20
 _REGEN_METRICS = (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)
 # A split call's pool type, if a tracer or a test sets one here; else concurrent.futures', imported on a split
@@ -209,14 +200,15 @@ def run_protocol_trials(
     so that a stage's trials x nodes table fits the memory budget.  Placement
     is hashed in tiles of at most _CHUNK_ELEMS >> 4 raw values, into the range's
     :class:`_Tiles`: whole trials per tile, or one larger trial in block
-    chunks.  A block is lost when :func:`_holds_node_zero`, and
-    only a lost block's raw values become uniforms, to draw its replica
-    indices.  A lost triple holds node 0, so its live holders are the sum of
-    its indices less their maximum, and that maximum.  The destination is node
-    1 iff the rank is 0 and node 1 holds no copy, so the coin is read only for
-    tasks bound for node 1; rank and coin are read as raw values against their
-    :func:`~limpprob.rng.index_limit` and :func:`~limpprob.rng.uniform_limit`,
-    hashed in the same buffers a tile of lost blocks at a time.
+    chunks.  A block is lost when :func:`_holds_node_zero`, and only a lost
+    block's raw values are gathered, to draw its replica indices by
+    :func:`~limpprob.rng.to_index`.  A lost triple holds node 0, so its live
+    holders are the sum of its indices less their maximum, and that maximum.
+    The destination is node 1 iff the rank is 0 and node 1 holds no copy, so
+    the coin is read only for tasks bound for node 1; rank and coin are read
+    as raw values against their :func:`~limpprob.rng.index_limit` and
+    :func:`~limpprob.rng.uniform_limit`, hashed in the same buffers a tile of
+    lost blocks at a time.
     n is capped at _CHUNK_ELEMS, and b_total by the stages' footprint: a trial's
     expected 3 * b_total / n lost blocks may fill 60% of _CHUNK_ELEMS with raw
     values, so b_total <= _CHUNK_ELEMS * n // 15 (349,525 at n = 5), and every n
@@ -234,8 +226,9 @@ def run_protocol_trials(
     rows = max(1, min(stage, budget // (3 * b_total)))  # whole trials per tile
     cols = min(b_total, max(1, budget // 3))  # blocks per tile, below b_total only when rows == 1
     rank_limit, coin_limit = index_limit(n - 3), uniform_limit(0.5)
-    # replica c of block j sits at stream position 3j + c; stored column-major
+    # replica c of block j sits at stream position 3j + c, an index in range(n - c); stored column-major
     steps = step_terms_np(3 * np.arange(cols, dtype=np.uint64) + np.arange(3, dtype=np.uint64)[:, None])[:, None]
+    bounds = np.array([[n], [n - 1], [n - 2]])
 
     def counts(batches):
         tiles = _Tiles()
@@ -250,10 +243,9 @@ def run_protocol_trials(
                     raws = tiles.hash(advance_np(tile_states, 3 * first)[:, None], steps[..., :width]).reshape(3, -1)
                     lost = np.flatnonzero(_holds_node_zero(raws.__getitem__, n))
                     trial_parts.append(lost // width + row)
-                    raw_parts.append(raws[:, lost])
+                    raw_parts.append(raws.take(lost, axis=1))
             trial = np.concatenate(trial_parts)  # trial, then block-id order
-            u = to_uniforms(np.concatenate(raw_parts, axis=1))
-            i1, i2, i3 = to_index(u[0], n), to_index(u[1], n - 1), to_index(u[2], n - 2)
+            i1, i2, i3 = to_index(np.concatenate(raw_parts, axis=1), bounds)
             i2 += i2 >= i1
             low, high = np.minimum(i1, i2), np.maximum(i1, i2)
             i3 += i3 >= low
@@ -261,9 +253,9 @@ def run_protocol_trials(
             np.maximum(high, i3, out=high)
             mid = i1 + i2 + i3 - high  # the holders mid < high; node 0 is the third index
             # plan: the k-th lost block of a trial reads 3*b_total + 2k (coin) and + 1 (rank);
-            # rank 0 picks node 1 unless node 1 holds a copy, and then mid == 1
-            per_trial = np.bincount(trial, minlength=size)
-            k = np.arange(trial.size) - (np.cumsum(per_trial) - per_trial)[trial]
+            # rank 0 picks node 1 unless node 1 holds a copy, and then mid == 1; trial ascends, so a lost
+            # block's k is its distance from its trial's first
+            k = np.arange(trial.size) - np.searchsorted(trial, trial)
             ranks = (3 * b_total + 1 + 2 * k).astype(np.uint64)
             lost_states = states[trial]
             to_slow = np.flatnonzero(tiles.below(lost_states, ranks, rank_limit) & (mid != 1))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import weakref
 
 import pytest
@@ -120,6 +122,13 @@ class TestRecords:
         assert len({record, twin, changed}) == 2
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, values))
         assert repr(record) == f"{cls.__name__}({fields})"
+
+    def test_pickle_and_copy_round_trip(self, cls, values, other):
+        # an estimate leaves a process pool pickled; a copy or a load re-checks the fields
+        record = cls(*values)
+        twins = [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.copy(record), copy.deepcopy(record)]:
+            assert type(twin) is cls and twin == record and repr(twin) == repr(record)
 
     def test_weakly_referenced(self, cls, values, other):
         record = cls(*values)

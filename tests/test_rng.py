@@ -7,11 +7,10 @@ from limpprob.rng import (
     raws_into,
     step_terms_np,
     to_index,
-    to_uniforms,
     trial_states_np,
     uniforms_np,
 )
-from stream_ref import avalanche, stream_raw, stream_uniform, trial_state
+from stream_ref import avalanche, index_of, stream_raw, stream_uniform, trial_state, uniforms_of
 
 # SplitMix64 reference sequence for seed 0 (first outputs of the canonical
 # generator, which this counter construction reproduces position by position).
@@ -68,7 +67,7 @@ def test_raws_in_reused_buffers_agree_bitwise():
         want = [[stream_raw(int(s), start + pos) for pos in range(5)] for s in states]
         assert out.tolist() == want
         positions = np.arange(start, start + 5, dtype=np.uint64)
-        assert np.array_equal(to_uniforms(out), uniforms_np(states[:, None], positions))
+        assert np.array_equal(uniforms_of(out), uniforms_np(states[:, None], positions))
 
 
 def test_streams_replay():
@@ -93,12 +92,16 @@ def test_uniform_range_and_mean():
     assert abs(np.cov(u[:-1], u[1:])[0, 1]) < 0.005
 
 
+def _raws(state: int, count: int) -> np.ndarray:
+    """The raw values at positions 0 .. count-1 of a stream state, from the scalar reference."""
+    return np.array([stream_raw(state, pos) for pos in range(count)], dtype=np.uint64)
+
+
 @pytest.mark.parametrize("bound", [1, 2, 3, 7, 64, 1000])
 def test_indices_within_bounds(bound):
     state = trial_state(99, 3)
-    u = uniforms_np(np.uint64(state), np.arange(10_000, dtype=np.uint64))
-    u = np.append(u, [0.0, np.nextafter(1.0, 0.0)])
-    idx = to_index(u, bound)
+    raws = np.append(_raws(state, 10_000), np.array([0, 2**64 - 1], dtype=np.uint64))
+    idx = to_index(raws, bound)
     assert idx.min() >= 0
     assert idx.max() < bound
     assert idx[-2] == 0 and idx[-1] == bound - 1
@@ -106,9 +109,28 @@ def test_indices_within_bounds(bound):
 
 
 def test_indices_roughly_uniform():
-    idx = to_index(uniforms_np(np.uint64(trial_state(5, 5)), np.arange(60_000, dtype=np.uint64)), 6)
+    idx = to_index(_raws(trial_state(5, 5), 60_000), 6)
     counts = np.bincount(idx, minlength=6)
     assert counts.min() > 9_000  # expectation 10_000 each
+
+
+def test_index_of_a_raw_value_is_its_uniforms():
+    # to_index of raw values against the float rule on their uniforms: random raws, and at boundaries
+    # j * 2**53 / k (all of them up to k = 1000, a sample above) the first raw of index j and the raw below it
+    pick = np.random.default_rng(8)
+    noise = pick.integers(0, 2**64, size=4096, dtype=np.uint64)
+    for k in (1, 2, 3, 7, 1000, 2**20, 10**6 + 3, 2**53):
+        js = range(1, k) if k <= 1000 else [1, k - 1, *pick.integers(1, k, size=1000).tolist()]
+        firsts = [-(-j * 2**53 // k) << 11 for j in js]
+        raws = np.concatenate([noise, np.array([0, 2**64 - 1, *firsts, *(r - 1 for r in firsts)], dtype=np.uint64)])
+        want = index_of(uniforms_of(raws), k)
+        assert np.array_equal(to_index(raws.copy(), k), want), k
+        assert want.min() == 0 and want.max() == k - 1
+        assert np.array_equal(want[noise.size + 2 : noise.size + 2 + len(firsts)], list(js)), k
+    # one bound per row, as the protocol kernel draws a block's indices in range(n), range(n-1) and range(n-2)
+    raws = noise[:4095].reshape(3, -1)
+    want = np.stack([index_of(uniforms_of(row), k) for row, k in zip(raws, (10, 9, 8))])
+    assert np.array_equal(to_index(raws.copy(), np.array([[10], [9], [8]])), want)
 
 
 def test_sequential_matches_random_access():

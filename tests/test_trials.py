@@ -33,18 +33,10 @@ from limpprob import (
     run_rw_trials,
     trials,
 )
-from limpprob.rng import (
-    TrialStream,
-    index_limit,
-    to_index,
-    to_uniforms,
-    trial_states_np,
-    uniform_limit,
-    uniforms_np,
-)
+from limpprob.rng import TrialStream, index_limit, trial_states_np, uniform_limit, uniforms_np
 from limpprob.model import _node_target, assumption_targets, protocol_targets
 from limpprob.trials import _partition
-from stream_ref import stream_uniform, trial_state
+from stream_ref import index_of, stream_uniform, trial_state, uniforms_of
 
 NODE_10_90 = 0.36110217217355966568
 CLUSTER_10_500 = 0.95789415572912219584
@@ -56,10 +48,10 @@ def _distinct_triples(u, n):
     The reference the protocol kernel's sort-free lost-block holders and the
     rw sampler's :func:`limpprob.trials._holds_node_zero` must agree with.
     """
-    i1 = to_index(u[:, 0], n)
-    i2 = to_index(u[:, 1], n - 1)
+    i1 = index_of(u[:, 0], n)
+    i2 = index_of(u[:, 1], n - 1)
     i2 += i2 >= i1
-    i3 = to_index(u[:, 2], n - 2)
+    i3 = index_of(u[:, 2], n - 2)
     i3 += i3 >= np.minimum(i1, i2)
     i3 += i3 >= np.maximum(i1, i2)
     return np.sort(np.stack([i1, i2, i3], axis=1), axis=1)
@@ -161,7 +153,7 @@ def _rw_reference(protocol, n, r, count, seed):
         base = np.uint64(j * slots)
         triple = _distinct_triples(uniforms_np(alive[:, None], base + np.arange(3, dtype=np.uint64)), n)
         if protocol == "read":
-            choice = to_index(uniforms_np(alive, base + np.uint64(3)), 3)
+            choice = index_of(uniforms_np(alive, base + np.uint64(3)), 3)
             touched = triple[np.arange(alive.size), choice] == 0
         else:
             touched = (triple == 0).any(axis=1)
@@ -258,7 +250,7 @@ class TestLostLimit:
             edges = [limit - 1, limit, (c - 1) << 11, limit - (1 << 11), limit + (1 << 11), 0, 2**64 - 1]
             near = (np.arange(-32, 32, dtype=np.int64) * 997 + limit).astype(np.uint64)
             raws = np.concatenate([np.array(edges, dtype=np.uint64), near, noise, noise >> np.uint64(k % 60)])
-            want = to_uniforms(raws.copy()) * k < 1.0
+            want = uniforms_of(raws) * k < 1.0
             assert np.array_equal(raws < np.uint64(limit), want), k
             assert want[0] and not want[1] and want[2]
 
@@ -279,14 +271,14 @@ _UNIFORM_XS = sorted({
 
 
 class TestUniformLimit:
-    """raw < uniform_limit(x) equals the float rule to_uniforms(raw) < x."""
+    """raw < uniform_limit(x) equals the float rule uniforms_of(raw) < x."""
 
     @pytest.mark.parametrize("x", _UNIFORM_XS)
     def test_integer_threshold_equals_the_float_rule(self, x):
         limit = uniform_limit(x)
         assert 0 <= limit <= 2**64 and limit % (1 << 11) == 0
         raws = np.array([r for r in (limit - 1, limit, limit + 1, 0, 2**64 - 1) if 0 <= r < 2**64], dtype=np.uint64)
-        assert np.array_equal(raws < limit, to_uniforms(raws.copy()) < x), x
+        assert np.array_equal(raws < limit, uniforms_of(raws) < x), x
 
     def test_extremes(self):
         assert _node_target(10, 36000) == 1.0
@@ -298,15 +290,15 @@ class TestUniformLimit:
     def test_random_raws_and_thresholds(self, x, raw, near):
         limit = uniform_limit(x)
         raws = np.array([raw, min(max(limit + near, 0), 2**64 - 1)], dtype=np.uint64)
-        assert np.array_equal(raws < limit, to_uniforms(raws.copy()) < x)
+        assert np.array_equal(raws < limit, uniforms_of(raws) < x)
 
 
 class TestMemoryBudget:
     @pytest.mark.parametrize("budget", [trials._CHUNK_ELEMS, 1 << 12])
     def test_no_uniform_array_exceeds_the_budget(self, monkeypatch, budget):
         monkeypatch.setattr(trials, "_CHUNK_ELEMS", budget)
-        # the reused hash buffers of every sampler, and uniforms made from the raw values gathered there
-        largest = dict.fromkeys(("raws_into", "to_uniforms"), 0)
+        # the reused hash buffers of every sampler, and indices drawn from the raw values gathered there
+        largest = dict.fromkeys(("raws_into", "to_index"), 0)
         for name in largest:
             made = getattr(trials, name)
 
