@@ -20,17 +20,19 @@ and turns the grid keys into ascending int lists, or a node range into a
 ``range``: a node range holds at most 1,000,000 values and a grid value is at
 most 2**53.  ``--show-config`` prints those normalised values.
 
-Every command reaches each mechanism one way: closed forms through the
-``_ANALYTIC`` table, samplers through ``_estimates``, and CSV rows through
-``_point_rows``.  ``_estimates`` walks a read or write sampler once per
-(protocol, n) column of r values: ``compare``'s ``--requests``, a ``figures``
-user panel's list (the write anchor 40 included), or the r values of one n in
-``sweep``'s n-major walk.  ``_memoised_estimates`` serves each run's estimates
-point by point: ``compare`` keeps them all, because its points repeat; the
-regeneration panels of ``figures`` share one run per point; elsewhere no
-estimate outlives its column or regeneration point.  ``main`` ignores
-``LowLoadWarning`` once around the handler, since grids reach low loads on
-purpose, and restores the warning filters on return.
+Every command walks its grid once, through ``_records``: a lazy stream of
+records (panel, protocol, n, r_or_b, metric, source, value), one per closed
+form (the ``_ANALYTIC`` table) or sampler estimate (``_estimates``), in the
+command's walk order, which is CSV order for every CSV.  ``sweep``, ``figures``
+and ``compare --out`` write them through ``_csv_row``, ``model`` prints them,
+and ``compare`` judges each simulated record against the analytic one before
+it.  A read or write sampler runs once per (protocol, n) column of r values,
+and one regeneration run serves every regeneration protocol at its (n, b).  A
+run is dropped when the next one starts, unless a later protocol of the walk
+reads it (``compare``'s regeneration protocols share their points), so no
+estimate outlives its column or regeneration point.
+``main`` ignores ``LowLoadWarning`` once around the handler, since grids reach
+low loads on purpose, and restores the warning filters on return.
 
 A process imports only what its command runs.  Only a sampler run imports numpy
 (through :mod:`limpprob.trials`), and ``_estimates`` sets
@@ -55,10 +57,11 @@ CSV schema (exact column order)::
 
 Analytic rows leave ci_low/ci_high/trials/seed empty; values carry 12
 significant digits; rows come in (protocol, n, r_or_b, source, metric) order
-because each command walks its ascending grid lists in that order (``_grid``,
-also for ``model`` and the ``compare`` table).  ``_write_csvs`` streams one walk of (path, row) pairs
-into a temp file per path and renames those only once the walk is complete: flat
-memory, and no file on error.
+because each command walks its ascending grid lists in that order (``_grid``),
+``compare`` with its protocols sorted; its table keeps the ``--protocol`` order.
+``_write_csvs`` streams one walk of (path, row) pairs into a temp file per path
+and renames those only once the walk is complete: flat memory, and no file on
+error.  So an unwritable ``--out`` fails before the walk starts.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ import argparse
 import gc
 import heapq
 import itertools
+import operator
 import os
 import sys
 import warnings
@@ -102,7 +106,7 @@ PROTOCOLS = {
 
 _BLOCK_FACTORS = (1, 10, 50)
 _FIGURE_BLOCK_FACTORS = (1, 5, 10, 50)
-_FIGURE_ANCHOR = (100, 3200)  # the 20%-full 1TB node data point
+_FIGURE_ANCHOR = (100, (3200,))  # the 20%-full 1TB node data point, as a grid column
 _WRITE_R_ANCHOR = 40  # with n=50 this is the one-slow-write-per-40-requests point
 # regeneration figure -> its protocols, one panel each
 _REGEN_FIGURES = {"node-cluster": ("regen-node", "regen-cluster"), "block": ("regen-block", "regen-any-block")}
@@ -158,37 +162,60 @@ def _regen_b_total(n: int, b: int) -> int:
     return max(1, round(b * n / 3))
 
 
-def _estimates(cfg: dict, protocol: str, n: int, v: int) -> dict[int, dict[str, EstimateSummary]]:
-    """Sampler estimates by r_or_b: read and write give their headline metric at every r of cfg["requests"], the
-    column that holds v, from one walk; regeneration gives all four of its own metrics at v."""
+def _kind(protocol: str) -> str:
+    """A sampler run's kind: the protocol for read and write, "regen" for every regeneration protocol."""
+    return protocol if PROTOCOLS[protocol][0] == "r" else "regen"
+
+
+def _estimates(cfg: dict, protocol: str, n: int, v: int, column) -> dict[int, dict[str, EstimateSummary]]:
+    """Sampler estimates by r_or_b: read and write give their headline metric at every r of column, the r values
+    of n that hold v, from one walk; regeneration gives all four of its own metrics at v."""
     # numpy loads with the first sampler run; no sampler calls BLAS, so start no OpenBLAS thread pool
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import trials
 
     run_args = (cfg["trials"], cfg["seed"], cfg["workers"])
     if PROTOCOLS[protocol][0] == "r":
-        column = trials._run_rw_column(protocol, n, cfg["requests"], *run_args)
-        return {r: {PROTOCOLS[protocol][1]: est} for r, est in zip(cfg["requests"], column)}
+        estimates = trials._run_rw_column(protocol, n, column, *run_args)
+        return {r: {PROTOCOLS[protocol][1]: est} for r, est in zip(column, estimates)}
     if cfg["sim"] == "protocol":
         return {v: trials.run_protocol_trials(n, _regen_b_total(n, v), *run_args)}
     return {v: trials.run_assumption_trials(RegenParams(n, v), *run_args)}
 
 
-def _memoised_estimates(keep: bool = True):
-    """_estimates(cfg, protocol, n, v)[v] through a memo; every regeneration protocol shares one key.  A miss
-    memoises every estimate of its run, so a read or write column is walked once.  keep=False drops the memo on a
-    miss, for walks that finish each column (or regeneration point) before the next: no estimate outlives it."""
-    runs: dict = {}
+def _records(cfg: dict, walk: list, mode: str):
+    """Lazily yield the records (panel, protocol, n, v, metric, source, value) of walk, a list of (columns, panels)
+    steps, in its order.  At each v of each column (n, its ascending v values), every (panel, protocol, metrics) of
+    the step yields, as mode asks, an analytic record per metric, in the given order, then a simulated record of the
+    protocol's headline metric, when metrics hold it, whose value is an EstimateSummary.  Starting a sampler run
+    drops the runs before it, unless a later step reads their kind (compare's regeneration protocols share points)."""
+    runs: dict = {}  # (kind, n, v) -> that point's estimates by metric
+    for index, (columns, panels) in enumerate(walk):
+        later = {_kind(protocol) for _, step in walk[index + 1:] for _, protocol, _ in step}
+        for n, values in columns:
+            for v in values:
+                for panel, protocol, metrics in panels:
+                    if mode != "simulate":
+                        for metric in metrics:
+                            yield panel, protocol, n, v, metric, "analytic", _ANALYTIC[metric](n, v)
+                    headline = PROTOCOLS[protocol][1]
+                    if mode != "analytic" and headline in metrics:
+                        kind = _kind(protocol)
+                        if (kind, n, v) not in runs:
+                            if kind not in later:
+                                runs.clear()
+                            estimates = _estimates(cfg, protocol, n, v, values)
+                            runs.update(((kind, n, w), est) for w, est in estimates.items())
+                        yield panel, protocol, n, v, headline, "simulated", runs[kind, n, v][headline]
 
-    def estimates(cfg: dict, protocol: str, n: int, v: int) -> dict[str, EstimateSummary]:
-        kind = protocol if PROTOCOLS[protocol][0] == "r" else "regen"
-        if (kind, n, v) not in runs:
-            if not keep:
-                runs.clear()
-            runs.update(((kind, n, w), est) for w, est in _estimates(cfg, protocol, n, v).items())
-        return runs[kind, n, v]
 
-    return estimates
+def _csv_row(record, seed: int) -> str:
+    """A record's CSV line; an analytic row leaves ci_low, ci_high, trials and seed empty."""
+    _, protocol, n, v, metric, source, value = record
+    key = f"{protocol},{n},{'' if v is None else v},{metric},{source}"
+    if source == "analytic":
+        return f"{key},{_fmt(value)},,,,"
+    return f"{key},{_fmt(value.point_estimate)},{_fmt(value.ci_low)},{_fmt(value.ci_high)},{value.trials},{seed}"
 
 
 def _write_csvs(paths: list[str], lines) -> dict[str, int]:
@@ -335,37 +362,18 @@ def _effective(args: argparse.Namespace, command_defaults: dict) -> dict:
 
 
 def _grid(cfg: dict, protocol: str, factors=_BLOCK_FACTORS):
-    """Yield the (n, r_or_b) points of the configured grid for one protocol in ascending order, the CSV's, as
-    _effective sorted the grid lists; b defaults to (n-1) * factors."""
+    """Yield the (n, its r_or_b values) columns of the configured grid for one protocol in ascending order, the
+    CSV's, as _effective sorted the grid lists; b defaults to (n-1) * factors."""
     for n in cfg["nodes"]:
         if PROTOCOLS[protocol][0] == "r":
-            values = cfg["requests"]
+            yield n, cfg["requests"]
         else:
-            values = cfg["blocks"] or [(n - 1) * k for k in factors]
-        for v in values:
-            yield n, v
+            yield n, cfg["blocks"] or [(n - 1) * k for k in factors]
 
 
 def _metrics(protocol: str):
     """The metrics `model` and `figures` report for a protocol: its headline, or regen-block's split."""
     return _BLOCK_METRICS if protocol == "regen-block" else [PROTOCOLS[protocol][1]]
-
-
-def _point_rows(cfg: dict, estimates, protocol: str, metrics, points):
-    """Lazily yield the CSV lines cfg["mode"] asks for at each point, in CSV order: the analytic rows by metric
-    (ci_low, ci_high, trials and seed left empty), then the simulated row of the protocol's headline metric, the
-    only one with a sampler, whose estimate comes from estimates(cfg, protocol, n, v)."""
-    analytic = sorted(metrics) if cfg["mode"] in ("analytic", "both") else []
-    headline = PROTOCOLS[protocol][1]
-    simulate = cfg["mode"] in ("simulate", "both") and headline in metrics
-    for n, v in points:
-        key = f"{protocol},{n},{'' if v is None else v}"
-        for metric in analytic:
-            yield f"{key},{metric},analytic,{_fmt(_ANALYTIC[metric](n, v))},,,,"
-        if simulate:
-            est = estimates(cfg, protocol, n, v)[headline]
-            yield (f"{key},{headline},simulated,{_fmt(est.point_estimate)},{_fmt(est.ci_low)},{_fmt(est.ci_high)},"
-                   f"{est.trials},{cfg['seed']}")
 
 
 def cmd_model(cfg: dict) -> int:
@@ -374,16 +382,15 @@ def cmd_model(cfg: dict) -> int:
         raise InvalidParamsError(f"model needs exactly one --protocol, got {protocol!r}")
     if len(cfg["nodes"]) != 1:
         raise InvalidParamsError("model needs exactly one --nodes value")
-    n = cfg["nodes"][0]
     kind = PROTOCOLS[protocol][0]
-    # (v, its metrics): read and write open with the per-request probability at v = None, and every
-    # regeneration b starts with its load and slow-destination probability
-    walk = [(None, [f"{protocol}_degrade"])] if kind == "r" else []
-    head = ["regen_load", "slow_dest_prob"] if kind == "b" else []
-    walk += [(v, [*head, *_metrics(protocol)]) for _, v in _grid(cfg, protocol)]
+    if kind == "r":  # the per-request probability opens, at v = None
+        walk = [([(cfg["nodes"][0], [None])], [(None, protocol, [f"{protocol}_degrade"])]),
+                (_grid(cfg, protocol), [(None, protocol, _metrics(protocol))])]
+    else:  # every b starts with its load and slow-destination probability
+        walk = [(_grid(cfg, protocol), [(None, protocol, ["regen_load", "slow_dest_prob", *_metrics(protocol)])])]
     # every line is computed before any is printed, so an error leaves stdout empty
-    lines = [f"{metric}{'' if v is None else f'[{kind}={v}]'} = {_fmt(_ANALYTIC[metric](n, v))}"
-             for v, metrics in walk for metric in metrics]
+    lines = [f"{metric}{'' if v is None else f'[{kind}={v}]'} = {_fmt(value)}"
+             for _, _, _, v, metric, _, value in _records(cfg, walk, "analytic")]
     print("\n".join(lines))
     return 0
 
@@ -394,9 +401,8 @@ def cmd_sweep(cfg: dict) -> int:
         raise InvalidParamsError(f"sweep needs exactly one --protocol, got {protocol!r}")
     if not cfg["out"]:
         raise InvalidParamsError("sweep needs --out PATH")
-    # the walk is n-major and never repeats a point, so each estimate is dropped once its column is written
-    estimates = _memoised_estimates(keep=False)
-    rows = _point_rows(cfg, estimates, protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol))
+    walk = [(_grid(cfg, protocol), [(None, protocol, [PROTOCOLS[protocol][1]])])]
+    rows = map(_csv_row, _records(cfg, walk, cfg["mode"]), itertools.repeat(cfg["seed"]))
     print(f"wrote {_write_csv(cfg['out'], rows)} rows to {cfg['out']}")
     return 0
 
@@ -408,34 +414,41 @@ def cmd_compare(cfg: dict) -> int:
         # the any-block closed form assumes blocks degrade independently, which full protocol
         # replays do not, so protocol mode leaves regen-any-block out of its default gate
         protocols = [p for p in PROTOCOLS if cfg["sim"] != "protocol" or p != "regen-any-block"]
-    estimates = _memoised_estimates()
     tolerance = cfg["tolerance"]
-    lines: list[str] = []
-    failures = beyond = 0
-    for protocol in protocols:
-        metric = PROTOCOLS[protocol][1]
-        for n, v in _grid(cfg, protocol):
-            analytic = _ANALYTIC[metric](n, v)
-            est = estimates(cfg, protocol, n, v)[metric]
-            gap = abs(analytic - est.point_estimate)
-            if est.trials == 0:
-                # nothing was observed (e.g. no block was lost), so the [0, 1] CI proves nothing
-                status = "no-observations"
+    tables: dict[str, list[str]] = {protocol: [] for protocol in protocols}  # the table keeps the --protocol order
+    statuses = dict.fromkeys(("ok", "FAIL", "no-observations"), 0)
+
+    def judged(records):
+        """records, giving each simulated one its status and table line; its analytic record comes just before."""
+        for record in records:
+            _, protocol, n, v, metric, source, value = record
+            if source == "analytic":
+                analytic = value
             else:
-                status = "ok" if gap <= tolerance or est.ci_low <= analytic <= est.ci_high else "FAIL"
-            failures += status != "ok"
-            beyond += status == "FAIL"
-            lines.append(
-                f"{protocol:<16}{n:>5} {v:>7}  {metric:<20}{analytic:>12.6g}{est.point_estimate:>12.6g}"
-                f"{gap:>10.2g}  {status}"
-            )
+                gap = abs(analytic - value.point_estimate)
+                if value.trials == 0:
+                    # nothing was observed (e.g. no block was lost), so the [0, 1] CI proves nothing
+                    status = "no-observations"
+                else:
+                    status = "ok" if gap <= tolerance or value.ci_low <= analytic <= value.ci_high else "FAIL"
+                statuses[status] += 1
+                tables[protocol].append(
+                    f"{protocol:<16}{n:>5} {v:>7}  {metric:<20}{analytic:>12.6g}{value.point_estimate:>12.6g}"
+                    f"{gap:>10.2g}  {status}"
+                )
+            yield record
+
+    # one walk in CSV order: the CSV holds both rows of every table point.  It is written before anything is
+    # printed, so a stdout that closes early (`| head -1`) still leaves the file
+    walk = [(_grid(cfg, protocol), [(None, protocol, [PROTOCOLS[protocol][1]])]) for protocol in sorted(protocols)]
+    records = judged(_records(cfg, walk, "both"))
     if cfg["out"]:
-        # the CSV holds both rows of every table point; the memo serves the estimates the table read.  It is
-        # written before anything is printed, so a stdout that closes early (`| head -1`) still leaves the file
-        both = {**cfg, "mode": "both"}
-        rows = (row for protocol in sorted(protocols)
-                for row in _point_rows(both, estimates, protocol, [PROTOCOLS[protocol][1]], _grid(cfg, protocol)))
-        written = _write_csv(cfg["out"], rows)
+        written = _write_csv(cfg["out"], map(_csv_row, records, itertools.repeat(cfg["seed"])))
+    else:
+        for _ in records:
+            pass
+    lines = [line for protocol in protocols for line in tables[protocol]]
+    failures, beyond = len(lines) - statuses["ok"], statuses["FAIL"]
     header = f"{'protocol':<16}{'n':>5} {'r_or_b':>7}  {'metric':<20}{'analytic':>12}{'estimate':>12}{'gap':>10}  status"
     print("\n".join([header, "-" * len(header), *lines]))
     verdict = "all within tolerance" if beyond == 0 else f"{beyond} point(s) beyond tolerance"
@@ -447,55 +460,34 @@ def cmd_compare(cfg: dict) -> int:
     return 1 if failures else 0
 
 
-def _figure_points(cfg: dict):
-    """The regeneration panels' (n, b) points in ascending order, with the (100, 3200) anchor merged in once."""
-    merged = heapq.merge(_grid(cfg, "regen-block", _FIGURE_BLOCK_FACTORS), [_FIGURE_ANCHOR])
-    return (point for point, _ in itertools.groupby(merged))
-
-
-def _figure_panels(cfg: dict):
-    """cfg's panels, and one lazy walk of their (panel, CSV line) pairs.  A read or write point occurs in one
-    panel only, so those panels stream one after another and keep no estimate; the regeneration panels walk
-    their points once, together, so that each point's one sampler run serves its rows in every panel and is
-    dropped after them."""
-    figures = _FIGURES if cfg["figure"] in (None, "all") else [cfg["figure"]]
-    estimates = _memoised_estimates(keep=False)  # no walk returns to a column or point it has left
-    walks = []  # (panel, its rows) of the read and write panels
-    for figure in figures:
-        if figure in ("read", "write"):
-            requests = sorted({*cfg["requests"], _WRITE_R_ANCHOR}) if figure == "write" else cfg["requests"]
-            panel = {**cfg, "requests": requests}  # its sampler walks each n's column of these r values once
-            nodes = ((n, None) for n in cfg["nodes"])
-            walks += [
-                (f"{figure}_request_prob", _point_rows(cfg, estimates, figure, [f"{figure}_degrade"], nodes)),
-                (f"{figure}_user_prob",
-                 _point_rows(panel, estimates, figure, [f"{figure}_user_degrade"], _grid(panel, figure))),
-            ]
-    regen = {f"{PROTOCOLS[p][1]}_prob": p for figure in figures for p in _REGEN_FIGURES.get(figure, ())}
-
-    def lines():
-        for panel, rows in walks:
-            yield from ((panel, row) for row in rows)
-        for point in _figure_points(cfg) if regen else ():
-            for panel, protocol in regen.items():
-                yield from ((panel, row) for row in _point_rows(cfg, estimates, protocol, _metrics(protocol), [point]))
-
-    return [panel for panel, _ in walks] + list(regen), lines()
-
-
 def cmd_figures(cfg: dict) -> int:
     out_dir = cfg["out"]
     if not out_dir:
         raise InvalidParamsError("figures needs --out DIR")
-    panels, lines = _figure_panels(cfg)
+    figures = _FIGURES if cfg["figure"] in (None, "all") else [cfg["figure"]]
+    walk = []  # a read or write point occurs in one panel only, so each of those panels is a step of its own
+    for figure in (f for f in figures if f not in _REGEN_FIGURES):
+        requests = sorted({*cfg["requests"], _WRITE_R_ANCHOR}) if figure == "write" else cfg["requests"]
+        for panel, metric, values in (("request", "degrade", [None]), ("user", "user_degrade", requests)):
+            step = [(f"{figure}_{panel}_prob", figure, [f"{figure}_{metric}"])]
+            walk.append((zip(cfg["nodes"], itertools.repeat(values)), step))
+    # the regeneration panels are one step over their shared points, (n, (n-1)k) and the (100, 3200) anchor, so
+    # each point's one sampler run serves its rows in every panel
+    regen = [(f"{PROTOCOLS[p][1]}_prob", p, sorted(_metrics(p))) for f in figures for p in _REGEN_FIGURES.get(f, ())]
+    if regen:
+        first = operator.itemgetter(0)
+        merged = heapq.merge(_grid(cfg, "regen-block", _FIGURE_BLOCK_FACTORS), [_FIGURE_ANCHOR], key=first)
+        columns = itertools.groupby(merged, key=first)  # the anchor's n may be a grid column already
+        walk.append((((n, sorted({v for _, values in same_n for v in values})) for n, same_n in columns), regen))
+    paths = {panel: os.path.join(out_dir, f"{panel}.csv") for _, panels in walk for panel, _, _ in panels}
     created, parent = [], os.path.abspath(out_dir)  # the directories makedirs makes, deepest first
     while not os.path.exists(parent):
         created.append(parent)
         parent = os.path.dirname(parent)
     os.makedirs(out_dir, exist_ok=True)
-    paths = {panel: os.path.join(out_dir, f"{panel}.csv") for panel in panels}
+    rows = ((paths[record[0]], _csv_row(record, cfg["seed"])) for record in _records(cfg, walk, cfg["mode"]))
     try:
-        _write_csvs(list(paths.values()), ((paths[panel], row) for panel, row in lines))
+        _write_csvs(list(paths.values()), rows)
     except BaseException:
         # an error leaves no file, and no directory that this run made
         for directory in created:

@@ -268,6 +268,50 @@ class TestCompare:
         assert "no-observations" in out
         assert "0/1 ok" in out
 
+    def test_first_invalid_point_in_csv_order_is_reported(self, capsys):
+        # compare walks its points once, in CSV order with the protocols sorted, so the error names read's bound
+        # (n >= 3) whichever order --protocol gives; it named regen-node's (n >= 5) when that came first
+        results = [_run(capsys, "compare", "--protocol", protocols, "--nodes", "2", "--trials", "5")
+                   for protocols in ("regen-node,read", "read,regen-node")]
+        assert results == [(2, "", "error: cluster size must be an integer >= 3, got 2\n")] * 2
+
+    def test_unwritable_out_is_reported_before_any_point(self, tmp_path, capsys):
+        # compare opens --out before its one walk, as sweep does; it reported the invalid n = 2 first before
+        out = tmp_path / "missing" / "c.csv"
+        code, text, err = _run(capsys, "compare", "--nodes", "2", "--trials", "5", "--out", str(out))
+        assert (code, text) == (2, "")
+        assert err.startswith("io error: ")
+
+    def test_each_point_runs_its_closed_forms_and_sampler_once(self, tmp_path, capsys, monkeypatch):
+        node_callers = []  # the module of each caller of model.node_degrade_prob
+        sampler_calls = []
+
+        def counting_node_degrade_prob(params):
+            node_callers.append(sys._getframe(1).f_globals["__name__"])
+            return node_degrade_prob(params)
+
+        def counting_sampler(*args):
+            sampler_calls.append(args[0])
+            return run_assumption_trials(*args)
+
+        node_degrade_prob, run_assumption_trials = model.node_degrade_prob, trials.run_assumption_trials
+        monkeypatch.setattr(model, "node_degrade_prob", counting_node_degrade_prob)
+        monkeypatch.setattr(trials, "run_assumption_trials", counting_sampler)
+        out = tmp_path / "cmp.csv"
+        code, text, _ = _run(capsys, "compare", "--protocol", "regen-node,regen-block,regen-cluster", "--nodes", "10",
+                             "--trials", "20", "--out", str(out))
+        assert code in (0, 1)
+        # three points, (10, 9), (10, 90) and (10, 450); the block and cluster closed forms call the node one
+        assert node_callers.count("limpprob.cli") == 3 and len(node_callers) == 9
+        assert len(sampler_calls) == len(set(sampler_calls)) == 3
+        values = {(r[0], r[1], r[2], r[4]): float(r[5]) for r in _read_rows(out)}
+        table = text.splitlines()[2:-2]
+        assert len(table) == 9
+        for line in table:
+            protocol, n, v, _, analytic, estimate = line.split()[:6]
+            assert (analytic, estimate) == (f"{values[protocol, n, v, 'analytic']:.6g}",
+                                            f"{values[protocol, n, v, 'simulated']:.6g}")
+
     def test_csv_holds_the_sweep_rows(self, tmp_path, capsys):
         # compare and sweep write their rows through one builder: the compare CSV is the `sweep --mode both`
         # rows of each protocol, in protocol order
@@ -872,6 +916,23 @@ class TestNoEstimateOutlivesItsRow:
     def test_at_most_one_earlier_estimate_alive(self, tmp_path, capsys, monkeypatch, argv, sampler, calls):
         # no point repeats within a walk; holding each estimate grows memory about 0.33 KB (read or write)
         # to 1.2 KB (regeneration) per point
+        alive_before = self._stub(monkeypatch, sampler)
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code, _, _ = _run(capsys, *argv, "--mode", "simulate", "--nodes", "10..5009", "--trials", "1")
+        assert code == 0
+        assert len(alive_before) == calls and max(alive_before) <= 1
+
+    def test_compare_keeps_no_estimate_past_its_column(self, capsys, monkeypatch):
+        # compare takes no --mode; its one walk serves the table and the CSV, so it holds no column for a second
+        alive_before = self._stub(monkeypatch, "_run_rw_column")
+        code, _, _ = _run(capsys, "compare", "--protocol", "read", "--requests", "1", "--nodes", "10..5009",
+                          "--trials", "1")
+        assert code in (0, 1)
+        assert len(alive_before) == 5000 and max(alive_before) <= 1
+
+    @staticmethod
+    def _stub(monkeypatch, sampler):
+        """Replace trials.<sampler> by a stub; returns the list of how many earlier estimates live at each call."""
         alive = weakref.WeakValueDictionary()  # call index -> the estimate that call returned, while it lives
         alive_before = []
 
@@ -884,10 +945,7 @@ class TestNoEstimateOutlivesItsRow:
                                   model.ANY_BLOCK_DEGRADE], estimate)
 
         monkeypatch.setattr(trials, sampler, stub)
-        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-        code, _, _ = _run(capsys, *argv, "--mode", "simulate", "--nodes", "10..5009", "--trials", "1")
-        assert code == 0
-        assert len(alive_before) == calls and max(alive_before) <= 1
+        return alive_before
 
 
 # Runs each argv through main() in one interpreter; argv[1] == "blocked" makes `import numpy` fail.
