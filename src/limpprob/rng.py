@@ -22,13 +22,17 @@ subset of a trial's positions, e.g. only the ones that can still change its
 outcome, and the positions it does read keep their values.
 
 Stream layouts per trial (changing one changes simulated CSV rows):
-assumption sampler: one node indicator per good node at [0, n-2), then block j
-at n+3j (with-slow coin), n+3j+1 and n+3j+2 (holders 1 and 2), n-2 and n-1
-unread; block 0 is also the per-block draw.  Reads: request j at [4j, 4j+3)
-(placement) and 4j+3 (replica choice); writes: [3j, 3j+3).  Protocol: placed
-block i at [3i, 3i+3) (its three raw replica indices), then the k-th lost block
-in block-id order, k = 0, 1, ..., at 3*b_total + 2k (source coin) and
-3*b_total + 2k + 1 (destination rank).  The protocol layout is pinned by a
+assumption sampler: one node indicator per good node at [0, n-2), n-2 and n-1
+unread, then the k-th block whose holder 1 is degraded, its hit k, at n+3k (its
+gap G_k, :func:`geometric_gaps`), n+3k+1 (with-slow coin) and n+3k+2 (holder 2
+degraded); hit k lands on block G_0 + ... + G_k + k, and block 0 degraded, the
+per-block draw, is hit 0 landing on block 0 and degraded.  Reads: request j
+at [4j, 4j+3) (placement) and 4j+3 (replica choice); writes: [3j, 3j+3).
+Protocol: placed block i at [3i, 3i+3) (its three raw replica indices), then
+the k-th lost block in block-id order, k = 0, 1, ..., at 3*b_total + 2k
+(source coin) and 3*b_total + 2k + 1 (destination rank).  The assumption
+layout is pinned by a scalar replay in tests/test_trials.py, its gaps by the
+scalar rule in tests/stream_ref.py.  The protocol layout is pinned by a
 per-trial replay in tests/test_trials.py that reads it through
 :class:`TrialStream` and applies the protocol rules block by block.
 
@@ -37,7 +41,11 @@ buffers the caller reuses): a yes or no, u < x or index(u, k) == 0, against
 an exact integer threshold, :func:`uniform_limit` or :func:`index_limit`, and
 an index by :func:`to_index`.  Each gives the outcome of the position's
 uniform, but no sampler makes one: :func:`uniforms_np` serves
-:class:`TrialStream` and the tests.
+:class:`TrialStream` and the tests.  The one float function of a uniform is
+the assumption walk's gap, log(1 - u) / log1p(-q) rounded down, whose log is
+spelled out in basic float operations (:func:`log1m_uniforms`): numpy's
+``log`` and ``log1p`` dispatch per CPU and differ from libm's in the last bit
+on some inputs, so they could not fix a layout.
 """
 
 from __future__ import annotations
@@ -146,6 +154,51 @@ def to_index(raws: np.ndarray, bound) -> np.ndarray:
     indices = raws.view(np.int64)
     np.copyto(indices, x, casting="unsafe")  # truncation floors x >= 0
     return indices
+
+
+_LN2, _SQRT_HALF = 0.6931471805599453, 0.7071067811865476
+_ATANH = [1.0 / (2 * k + 1) for k in range(10, 0, -1)]  # 1/21, 1/19, ..., 1/3: the series after its first term
+
+
+def log1m_uniforms(raws: np.ndarray) -> np.ndarray:
+    """log(1 - u) of the uniforms u of uint64 raws, the same bits on every machine.
+
+    It is spelled out in float64 basic operations, each rounded once, in this
+    order: 1 - u = m * 2**e (exact, by frexp); m doubled and e lowered by 1
+    where m < sqrt(1/2); s = (m - 1) / (m + 1) and t = s * s; the atanh series
+    P = 1/21, then P = P * t + c for c = 1/19, 1/17, ..., 1/3; and
+    log(1 - u) = ((2s * t) * P + 2s) + e * ln 2, within 4e-16 of libm's log,
+    relatively.  The raws, which the caller owns, are shifted in place.
+    """
+    raws >>= _SH11
+    m, e = np.frexp(1.0 - raws * _INV53)  # 1 - u, exact
+    low = m < _SQRT_HALF
+    np.ldexp(m, low, out=m)  # doubled below sqrt(1/2), exactly
+    e -= low
+    s = (m - 1.0) / (m + 1.0)
+    t = s * s
+    p = np.full_like(t, _ATANH[0])
+    for c in _ATANH[1:]:  # Horner's rule, in place: a fresh array per step raised compare's peak RSS by 0.2 MB
+        p *= t
+        p += c
+    s += s
+    t *= s
+    p *= t
+    p += s
+    p += e * _LN2
+    return p
+
+
+def geometric_gaps(raws: np.ndarray, log1m_q: float, cap: int) -> np.ndarray:
+    """Gaps min(floor(log(1 - u) / log1m_q), cap) of the uniforms u of uint64 raws: Geometric(q) misses before a hit.
+
+    log1m_q is log1p(-q) < 0, or -inf at q = 1, where every gap is 0; the
+    log is :func:`log1m_uniforms`, whose raws are shifted in place.  The gaps
+    are int64.
+    """
+    gaps = log1m_uniforms(raws)
+    gaps /= log1m_q
+    return np.floor(np.minimum(gaps, cap, out=gaps), out=gaps).astype(np.int64)
 
 
 def trial_states_np(master_seed: int, trial_indices: np.ndarray) -> np.ndarray:

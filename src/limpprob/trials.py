@@ -28,17 +28,19 @@ stream positions each, at most one per usable CPU, so a call below two chunks
 runs in the calling thread (a smaller one cannot release the GIL long enough
 for a second thread to pay).  Every array a sampler hashes per block, node or
 request (placement and the protocol plan's rank and coin draws, node pass,
-first-hit rounds and the draws gated behind a first test) is one tile of at
-most ``_CHUNK_ELEMS >> 4`` positions, hashed by :meth:`_Tiles.hash` into the
-two buffers that each thread range makes once.  The node pass and the
-first-hit rounds lay a tile out as (elements, trials), with the trials inner,
-so numpy's inner loops run along up to thousands of trials, not along 1 to
-256 elements.  A first-hit round's ``hits`` returns the hit pairs
-as ascending flat indices into its tile (elements outer), so a trial's first
-hit is the first index that names it, and :func:`_count_hit_trials` counts,
-for each of several ascending cuts, the trials hit below it: every r of a
-read/write column comes from one walk, and the assumption sampler's per-block
-and any-block indicators from another.
+the rounds of the assumption block walk and of the read/write first-hit walk,
+and the draws gated behind a first test) is one tile of at most
+``_CHUNK_ELEMS >> 4`` positions, hashed by :meth:`_Tiles.hash` into the two
+buffers that each thread range makes once.  The node pass and the rounds lay
+a tile out as (elements, trials), with the trials inner, so numpy's inner
+loops run along up to thousands of trials, not along 1 to 256 elements.  A
+read/write round's ``hits`` returns the hit pairs as ascending flat indices
+into its tile (elements outer), so a trial's first hit is the first index
+that names it, and :func:`_count_hit_trials` counts, for each of several
+ascending cuts, the trials hit below it: every r of a read/write column comes
+from one walk.  The assumption block walk visits only the blocks whose
+holder 1 is degraded, a Geometric(q) gap apart, in rounds of doubling width
+as well (:func:`run_assumption_trials`).
 
 Estimates are keyed by the metric names of :mod:`limpprob.model`.  This module
 and :mod:`limpprob.rng` are the only ones that import numpy; the package root
@@ -55,7 +57,8 @@ import numpy as np
 from .errors import InvalidParamsError
 from .model import ANY_BLOCK_DEGRADE, BLOCK_DEGRADE, CLUSTER_DEGRADE, NODE_DEGRADE, _node_target
 from .params import ClusterParams, RegenParams, WorkloadParams, _count
-from .rng import advance_np, index_limit, raws_into, step_terms_np, to_index, trial_states_np, uniform_limit
+from .rng import (advance_np, geometric_gaps, index_limit, raws_into, step_terms_np, to_index, trial_states_np,
+                  uniform_limit)
 from .stats import EstimateSummary
 
 # The one memory budget: every transient array a sampler fills holds about this
@@ -302,7 +305,8 @@ def _count_hit_trials(alive: np.ndarray, cuts, base: int, slots: int, hits) -> l
     _CHUNK_ELEMS and the tile; each round runs in row tiles of tile // width
     live trials.  Hit trials drop out between rounds, so at most about twice
     the elements up to a trial's first hit are visited, and the counts are
-    batching-independent.
+    batching-independent.  It serves reads and writes; the assumption block
+    walk, whose trials also stop once past block b, runs its own rounds.
     """
     counts, tile = [0] * len(cuts), _tile()
     j, width, count = 0, 1, cuts[-1]
@@ -340,46 +344,86 @@ def run_assumption_trials(
     indicator needs all good nodes degraded.  Each of the b blocks draws
     fresh indicators for its two surviving holders, as independent as the
     closed form assumes: one is degraded (odds q), and the other is the slow
-    node (odds 2/(n-1), a uniform survivor pair's) or degraded.  One
-    first-hit walk gives the per-block indicator, block 0 degraded, and the
-    any-block one.  The stream layout is in
-    :mod:`limpprob.rng`; each u < q and u < 2/(n-1) is read as a raw value
-    against its :func:`~limpprob.rng.uniform_limit`.
+    node (odds 2/(n-1), a uniform survivor pair's) or degraded.  Holder 1's
+    draws are i.i.d. Bernoulli(q), so the block walk skips each run of misses
+    in one Geometric(q) draw (:func:`~limpprob.rng.geometric_gaps`; Vitter's
+    skip, drawn by inversion) and visits only the blocks whose holder 1 is
+    degraded, its hits, drawing holder 2 at each.  A trial's walk stops at its
+    first degraded hit below block b or once past block b - 1; block 0
+    degraded, the per-block indicator, is hit 0 landing on block 0 and
+    degraded.  Hits are drawn in rounds whose width doubles, the first as wide
+    as a trial's expected hits, each round in (3, hits, trials) tiles of at
+    most half a tile; a trial that is done leaves between rounds.  The stream
+    layout is in :mod:`limpprob.rng`; each u < q and u < 2/(n-1) is
+    read as a raw value against its :func:`~limpprob.rng.uniform_limit`.  At
+    q = 0 nothing is drawn, and every count is 0.
     """
     n, b = params.n, params.b
     good = n - 2
     q = _node_target(n, b)
     q_limit, coin_limit = uniform_limit(q), uniform_limit(2.0 / (n - 1))
+    log1m_q = math.log1p(-q) if q < 1.0 else -math.inf
     # node pass: batches of _CHUNK_ELEMS // good trials, hashed in tiles of cols nodes x rows trials
     batch, cols = max(1, _CHUNK_ELEMS // good), min(good, _tile())
     rows = _tile() // cols
+    # a walk stops at its first degraded hit, expected after 1/p hits with p = P(holder 2 is the slow node or
+    # degraded), or past block b - 1, expected after bq hits: its first round is that wide
+    p = 1.0 - (1.0 - 2.0 / (n - 1)) * (1.0 - q)
+    hits = math.ceil(min(b * q, 1.0 / p)) if q > 0.0 else 0
+
+    def walk(tiles: _Tiles, alive: np.ndarray) -> tuple[int, int]:
+        """How many of the trials with states alive have block 0, and some block below b, degraded."""
+        block_hits = any_hits = 0
+        passed = np.zeros(alive.size, dtype=np.int64)  # blocks up to and including a live trial's last hit
+        # a round's tile holds half a hash tile: the gaps' float arithmetic makes several temporaries of a slot's
+        # size, and at whole tiles they raised compare's peak resident memory by 0.7 MB
+        k, width, tile = 0, hits, max(1, _tile() >> 1)
+        slots = np.arange(3, dtype=np.uint64)[:, None, None]
+        while alive.size:
+            # hit k of a trial reads n + 3k (gap), n + 3k + 1 (coin) and n + 3k + 2 (holder 2), and lands on
+            # block k or later: no trial walks more than b hits
+            width = min(width, b - k, max(1, _CHUNK_ELEMS // alive.size), max(1, tile // 3))
+            positions = np.arange(n + 3 * k, n + 3 * (k + width), 3, dtype=np.uint64)[:, None] + slots
+            step = max(1, tile // (3 * width))
+            done = np.zeros(alive.size, dtype=bool)
+            for row in range(0, alive.size, step):
+                states = alive[row : row + step]
+                gap, coin, holder = tiles.raws(states, positions)  # each (width, len(states))
+                # a hit is degraded when it lands below block b and holder 2 is the slow node or degraded
+                degraded = (coin < coin_limit) | (holder < q_limit)
+                ends = geometric_gaps(gap, log1m_q, b) + 1
+                ends[0] += passed[row : row + step]
+                np.cumsum(ends, axis=0, out=ends)  # per hit, the blocks up to and including it
+                degraded &= ends <= b
+                hit = degraded.any(axis=0)
+                if k == 0:
+                    block_hits += np.count_nonzero(degraded[0] & (ends[0] == 1))
+                any_hits += np.count_nonzero(hit)
+                done[row : row + step] = hit | (ends[-1] >= b)
+                passed[row : row + step] = ends[-1]
+            alive, passed = alive[~done], passed[~done]
+            k += width
+            width *= 2
+        return block_hits, any_hits
 
     def counts(batches):
         tiles = _Tiles()
-
-        def block_degraded(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-            # holder 1 degraded, and then holder 2 the slow node (odds 2/(n-1)) or degraded
-            return _gated(tiles, states, firsts, 1, q_limit,
-                          lambda s, f: (tiles.raws(s, f) < coin_limit) | (tiles.raws(s, f + 2) < q_limit))
-
         for states in batches:
-            size, node_hits = states.size, 0
-            cluster = np.ones(size, dtype=bool)
-            for c in range(0, good, cols):
-                nodes = np.arange(c, min(good, c + cols), dtype=np.uint64)[:, None]
-                for row in range(0, size, rows):
-                    degraded = tiles.raws(states[row : row + rows], nodes) < q_limit
-                    node_hits += np.count_nonzero(degraded)
-                    cluster[row : row + rows] &= degraded.all(axis=0)
-            # block 0 is the per-block estimate, blocks 0 .. b-1 the any-block one; with q = 0 none is drawn
-            block_hits, any_hits = _count_hit_trials(states, [1, b] if q > 0.0 else [0, 0], n, 3, block_degraded)
-            yield (node_hits, size * good), (cluster.sum(), size), (block_hits, size), (any_hits, size)
+            size, node_hits, cluster_hits, block_hits, any_hits = states.size, 0, 0, 0, 0
+            if q > 0.0:  # at q = 0 no node, and no block, is degraded
+                cluster = np.ones(size, dtype=bool)
+                for c in range(0, good, cols):
+                    nodes = np.arange(c, min(good, c + cols), dtype=np.uint64)[:, None]
+                    for row in range(0, size, rows):
+                        degraded = tiles.raws(states[row : row + rows], nodes) < q_limit
+                        node_hits += np.count_nonzero(degraded)
+                        cluster[row : row + rows] &= degraded.all(axis=0)
+                cluster_hits = cluster.sum()
+                block_hits, any_hits = walk(tiles, states)  # q > 0 only where m > 1, so b >= n
+            yield (node_hits, size * good), (cluster_hits, size), (block_hits, size), (any_hits, size)
 
-    # a trial reads its n - 2 node positions (counted as n: n - 2 and n - 1 go unread), then 3 per block up to
-    # its first degraded one, expected after 1/p blocks: p = q * P(holder 2 is the slow node or degraded)
-    p = q * (1.0 - (1.0 - 2.0 / (n - 1)) * (1.0 - q))
-    expected = n + 3 * int(min(b, -(-1.0 // p))) if q > 0.0 else n
-    return _sample(counts, master_seed, trials, workers, expected, batch, _REGEN_METRICS)
+    # a trial reads its n - 2 node positions (counted as n: n - 2 and n - 1 go unread), then 3 per hit it walks
+    return _sample(counts, master_seed, trials, workers, n + 3 * hits, batch, _REGEN_METRICS)
 
 
 def run_rw_trials(

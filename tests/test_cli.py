@@ -1037,7 +1037,7 @@ class TestImportDiet:
 
     def test_unsplit_sampler_calls_import_no_thread_pool(self, tmp_path):
         # concurrent.futures, and logging with it, loads only when a sampler call splits over threads; the
-        # exit code 1 is the gate's FAIL verdict at regen-block (10, 450), 47/50 against 0.981841 with this seed
+        # exit code 1 is the gate's FAIL verdict at regen-block (10, 450), 46/50 against 0.981841 with this seed
         proc = _python(tmp_path, _IMPORT_DIET_CHILD, "concurrent.futures,logging",
                        "compare --sim assumption --nodes 10 --trials 50 --workers 1")
         assert proc.returncode == 0, proc.stderr

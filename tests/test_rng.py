@@ -1,16 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
 from limpprob.rng import (
     TrialStream,
     advance_np,
+    geometric_gaps,
+    log1m_uniforms,
     raws_into,
     step_terms_np,
     to_index,
     trial_states_np,
     uniforms_np,
 )
-from stream_ref import avalanche, index_of, stream_raw, stream_uniform, trial_state, uniforms_of
+from stream_ref import (
+    avalanche,
+    geometric_gap,
+    index_of,
+    log1m_uniform,
+    stream_raw,
+    stream_uniform,
+    trial_state,
+    uniforms_of,
+)
 
 # SplitMix64 reference sequence for seed 0 (first outputs of the canonical
 # generator, which this counter construction reproduces position by position).
@@ -138,3 +151,50 @@ def test_sequential_matches_random_access():
     seq = list(stream.uniforms(2)) + list(stream.uniforms(4))
     state = trial_state(2024, 3)
     assert seq == [stream_uniform(state, pos) for pos in range(6)]
+
+
+def _gap_raws() -> np.ndarray:
+    """Random raws, raws where 1 - u crosses a power of two or sqrt(1/2), one step either side, and the extremes,
+    2**64 - 1 last."""
+    edges = [0, 1, 2**11 - 1, 2**11]
+    for j in [2**53 - 2**k for k in range(54)] + [math.floor(2**53 * (1 - math.sqrt(0.5)))]:
+        edges += [(j + d) << 11 for d in (-1, 0, 1) if 0 <= j + d < 2**53]
+    noise = np.random.default_rng(9).integers(0, 2**64, size=3000, dtype=np.uint64)
+    return np.concatenate([noise, np.array(edges + [2**64 - 1], dtype=np.uint64)])
+
+
+def test_log_of_one_minus_u_is_the_scalar_rule_and_libms_to_a_few_ulps():
+    raws = _gap_raws()
+    want = np.array([log1m_uniform(raw) for raw in raws.tolist()])
+    assert np.array_equal(log1m_uniforms(raws.copy()).view(np.uint64), want.view(np.uint64))  # bit for bit
+    libm = np.array([math.log(1.0 - uniforms_of(raw)) for raw in raws.tolist()])
+    assert np.all(np.abs(want - libm) <= 1e-15 * np.abs(libm))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.018, 0.9973, 1e-15, 1.0])
+def test_geometric_gaps_are_the_scalar_rule(q):
+    # bit for bit, so the walk's gaps do not depend on numpy's per-CPU log; at q = 1 every gap is 0, and at
+    # q = 1e-15 nearly every gap is clamped to the cap (gaps past block b)
+    raws = _gap_raws()
+    log1m_q = math.log1p(-q) if q < 1.0 else -math.inf
+    for cap in (0, 7, 490, 2**40):
+        got = geometric_gaps(raws.copy(), log1m_q, cap)
+        assert got.dtype == np.int64
+        assert got.tolist() == [geometric_gap(raw, log1m_q, cap) for raw in raws.tolist()], cap
+        assert got.min() >= 0 and got.max() <= cap
+        assert got[-1] == min(math.floor(math.log(2.0**-53) / log1m_q), cap)  # raw 2**64 - 1: 1 - u = 2**-53
+    assert not geometric_gaps(np.array([0], dtype=np.uint64), log1m_q, 490).any()  # u = 0
+    if q == 1.0:
+        assert not geometric_gaps(raws.copy(), log1m_q, 490).any()
+    if q == 1e-15:
+        assert (geometric_gaps(raws.copy(), log1m_q, 490) == 490).mean() > 0.99
+
+
+def test_geometric_gaps_follow_the_geometric_law():
+    # P(G >= g) = (1 - q)**g, checked at a few g over 200,000 random raws, within 5 sigma
+    q, count = 0.1, 200_000
+    gaps = geometric_gaps(np.random.default_rng(10).integers(0, 2**64, size=count, dtype=np.uint64),
+                          math.log1p(-q), 10**6)
+    for g in (0, 1, 5, 20, 60):
+        tail = (1 - q) ** g
+        assert abs(np.mean(gaps >= g) - tail) <= 5 * math.sqrt(tail * (1 - tail) / count) + 1e-12, g

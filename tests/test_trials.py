@@ -36,7 +36,7 @@ from limpprob import (
 from limpprob.rng import TrialStream, index_limit, trial_states_np, uniform_limit, uniforms_np
 from limpprob.model import _node_target, assumption_targets, protocol_targets
 from limpprob.trials import _partition
-from stream_ref import index_of, stream_uniform, trial_state, uniforms_of
+from stream_ref import geometric_gap, index_of, stream_raw, stream_uniform, trial_state, uniforms_of
 
 NODE_10_90 = 0.36110217217355966568
 CLUSTER_10_500 = 0.95789415572912219584
@@ -98,16 +98,18 @@ class TestPartition:
         assert ranges == [[(0, 600)], [(0, 800)]]
 
     def test_assumption_calls_split_by_their_expected_length(self, monkeypatch):
-        # the any-block pass stops at a trial's first degraded block, about 1/p blocks in, with
-        # p = q(1 - (1 - 2/(n-1))(1 - q)): at (50, 2450) a trial reads about 50 + 3 * 12 positions, not n + 3b;
-        # at (50, 490) it reads 50 + 3 * 490 = 1,520 (1/p is about 990), so 2,000 trials make two chunks
+        # the block walk visits only holder-1 hits and stops at a trial's first degraded one, about 1/p hits in
+        # with p = 1 - (1 - 2/(n-1))(1 - q), or past block b, about bq hits in: at (50, 2450) a trial reads about
+        # 50 + 3 * 4 positions, not n + 3b; at (50, 490) it reads 50 + 3 * 9 = 77 (bq is 8.6), so 2,000 trials
+        # make one chunk, where a walk over every block (50 + 3 * 490 positions) would make two, and 30,000 two
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         assert len(_partition(300, 2, 50 + 3 * 2450)) == 2  # the bound n + 3b would split the first call
+        assert len(_partition(2000, 2, 50 + 3 * 490)) == 2
         ranges = []
         monkeypatch.setattr(trials, "_partition", lambda *args: ranges.append(_partition(*args)) or ranges[-1])
-        for n, b, count in ((50, 2450, 300), (30, 1450, 600), (10, 450, 2000), (50, 490, 2000)):
+        for n, b, count in ((50, 2450, 300), (30, 1450, 600), (10, 450, 2000), (50, 490, 2000), (50, 490, 30_000)):
             run_assumption_trials(RegenParams(n, b), count, master_seed=1, workers=2)
-        assert ranges == [[(0, 300)], [(0, 600)], [(0, 2000)], [(0, 1000), (1000, 2000)]]
+        assert ranges == [[(0, 300)], [(0, 600)], [(0, 2000)], [(0, 2000)], [(0, 15_000), (15_000, 30_000)]]
 
     @pytest.mark.parametrize("chunks, want", [
         (1, [(0, 8)]),
@@ -171,11 +173,17 @@ def _assumption_reference(n, b, count, seed):
         degraded = [stream_uniform(state, k) < q for k in range(good)]
         node += sum(degraded)
         cluster += all(degraded)
-        u = lambda j, slot: stream_uniform(state, n + 3 * j + slot)
-        # holder 1 degraded, and holder 2 the slow node (odds 2/(n-1)) or degraded; block 0 is the per-block draw
-        hit = [u(j, 1) < q and (u(j, 0) < 2.0 / (n - 1) or u(j, 2) < q) for j in range(b)]
-        block += b > 0 and hit[0]
-        any_block += any(hit)
+        # hit k, a block whose holder 1 is degraded, lies a Geometric(q) gap (n + 3k) past hit k - 1; it is degraded
+        # when holder 2 is the slow node (n + 3k + 1, odds 2/(n-1)) or degraded (n + 3k + 2); the walk ends at the
+        # first degraded hit or past block b - 1, and block 0 is the per-block draw
+        log1m_q = math.log1p(-q) if q < 1.0 else -math.inf
+        k, at = 0, -1
+        while q > 0.0 and (at := at + 1 + geometric_gap(stream_raw(state, n + 3 * k), log1m_q, b)) < b:
+            if stream_uniform(state, n + 3 * k + 1) < 2.0 / (n - 1) or stream_uniform(state, n + 3 * k + 2) < q:
+                block += at == 0
+                any_block += 1
+                break
+            k += 1
     return [node, cluster, block, any_block]
 
 
@@ -418,9 +426,12 @@ class TestLazyDraws:
         n, b = 50, 490
         q = _node_target(n, b)
         drawn = _draws_by_slot(monkeypatch, n, 3, lambda: run_assumption_trials(RegenParams(n, b), 2000, 1))
-        visited = drawn[1]  # holder 1 is drawn for every visited block
-        assert visited > 2000
-        assert drawn.sum() <= (1 + 2 * q) * 1.1 * visited
+        # the walk visits only blocks whose holder 1 is degraded, and reads a hit's gap, coin and holder 2 together
+        visited = drawn[0]
+        assert visited > 2000 and drawn[1] == drawn[2] == visited
+        # a trial walks about min(bq, 1/p) + 1 hits (bq = 8.6), and rounds of doubling width at most double that,
+        # where a draw per block would make b = 490
+        assert visited <= 2 * 2000 * (b * q + 1)
 
     def test_read_draws_placement_only_when_choosing_the_first_replica(self, monkeypatch):
         drawn = _draws_by_slot(monkeypatch, 0, 4, lambda: run_rw_trials("read", 50, 100, 2000, 1))
@@ -606,6 +617,17 @@ class TestAssumptionTrials:
                 law = q * (2.0 / (n - 1) + (n - 3) * q / (n - 1))
                 want = assumption_targets(RegenParams(n, b))[BLOCK_DEGRADE]
                 assert law == pytest.approx(want, rel=1e-10, abs=0.0), (n, b)
+
+    @pytest.mark.parametrize("n, b", [(5, 12), (10, 14), (50, 490), (100, 990), (10, 36000)])
+    def test_block_walk_within_four_sigma_of_the_targets(self, n, b):
+        # the geometric skips over holder 1 must keep the law of block 0 and of any block; at (10, 36000) q = 1,
+        # so every gap is 0 and both indicators are certain
+        count = 200_000
+        est = run_assumption_trials(RegenParams(n, b), count, master_seed=41)
+        targets = assumption_targets(RegenParams(n, b))
+        for metric in (BLOCK_DEGRADE, ANY_BLOCK_DEGRADE):
+            p, got = targets[metric], est[metric].point_estimate
+            assert abs(got - p) <= 4 * math.sqrt(p * (1 - p) / count) + 1e-12, (metric, got, p)
 
     def test_interval_shape(self):
         est = run_assumption_trials(RegenParams(30, 290), 20_000, master_seed=8)
