@@ -28,19 +28,18 @@ stream positions each, at most one per usable CPU, so a call below two chunks
 runs in the calling thread (a smaller one cannot release the GIL long enough
 for a second thread to pay).  Every array a sampler hashes per block, node or
 request (placement and the protocol plan's rank and coin draws, node pass,
-the rounds of the assumption block walk and of the read/write first-hit walk,
-and the draws gated behind a first test) is one tile of at most
-``_CHUNK_ELEMS >> 4`` positions, hashed by :meth:`_Tiles.hash` into the two
-buffers that each thread range makes once.  The node pass and the rounds lay
-a tile out as (elements, trials), with the trials inner, so numpy's inner
-loops run along up to thousands of trials, not along 1 to 256 elements.  A
-read/write round's ``hits`` returns the hit pairs as ascending flat indices
-into its tile (elements outer), so a trial's first hit is the first index
-that names it, and :func:`_count_hit_trials` counts, for each of several
-ascending cuts, the trials hit below it: every r of a read/write column comes
-from one walk.  The assumption block walk visits only the blocks whose
-holder 1 is degraded, a Geometric(q) gap apart, in rounds of doubling width
-as well (:func:`run_assumption_trials`).
+the first-hit rounds, and a read's placement, drawn only behind its replica
+choice) is one tile of at most ``_CHUNK_ELEMS >> 4`` positions, hashed by
+:meth:`_Tiles.hash` into the two buffers that each thread range makes once.
+The node pass and the rounds lay a tile out as (elements, trials), with the
+trials inner, so numpy's inner loops run along up to thousands of trials,
+not along 1 to 256 elements.  Both first-hit walks, the read/write request
+walk and the assumption block walk, which visits only the blocks whose
+holder 1 is degraded, a Geometric(q) gap apart, run in the rounds of
+:func:`_rounds`, each with its own tile.  A read/write round reads its hit
+pairs back as flat indices into its tile, takes each trial's first slow
+request from them, and every r of a read/write column is counted from those
+first requests: one walk serves the column.
 
 Estimates are keyed by the metric names of :mod:`limpprob.model`.  This module
 and :mod:`limpprob.rng` are the only ones that import numpy; the package root
@@ -280,56 +279,31 @@ def run_protocol_trials(
     return _sample(counts, master_seed, trials, workers, 3 * b_total, stage, _REGEN_METRICS)
 
 
-def _gated(tiles: _Tiles, states: np.ndarray, firsts: np.ndarray, slot: int, limit: int, then) -> np.ndarray:
-    """Ascending flat indices into the (firsts, states) tile of the pairs whose raw value at firsts + slot is below
-    limit and where then(states, firsts) holds, drawn only for the pairs that passed the first test, as two
-    gathered vectors.  The first test hashes one tile in tiles, and then may hash its own there once it is read."""
-    flat = np.flatnonzero(tiles.raws(states, firsts[:, None] + slot) < limit)
-    # no (element, trial) index pair is kept: each index vector is freed once its gather is made
-    return flat[then(states[flat % states.size], firsts[flat // states.size])]
+def _rounds(live: list, count: int, width: int, tile: int):
+    """The one first-hit walk over elements 0 .. count - 1 of some trials, for both first-hit samplers.
 
-
-def _count_hit_trials(alive: np.ndarray, cuts, base: int, slots: int, hits) -> list[int]:
-    """Per ascending cut, how many of the trials with states alive have one of their first cut elements hit.
-
-    Element j owns stream positions [base + j*slots, base + (j+1)*slots).
-    hits(states, firsts) maps some live trial states and a round's element
-    base positions (a uint64 vector) to the ascending flat indices of the hit
-    pairs in the (len(firsts), len(states)) tile, elements outer and trials
-    inner; it draws whichever slots firsts + k its outcome still depends on,
-    each array at most one tile, len(states) * len(firsts) <= _CHUNK_ELEMS >> 4
-    elements.  One walk to the last cut serves every cut, since a trial's first
-    hit does not depend on how far the walk goes: a hit trial counts for each
-    cut above its first hit, read as the trials marked by the flat indices
-    below that cut.  Rounds start at width 1 and double while that fits
-    _CHUNK_ELEMS and the tile; each round runs in row tiles of tile // width
-    live trials.  Hit trials drop out between rounds, so at most about twice
-    the elements up to a trial's first hit are visited, and the counts are
-    batching-independent.  It serves reads and writes; the assumption block
-    walk, whose trials also stop once past block b, runs its own rounds.
+    live lists per-trial arrays, the trial states first.  Rounds start width
+    wide and double; each is capped by the elements left, by _CHUNK_ELEMS //
+    live trials and by tile, the caller's elements per tile, and runs in row
+    tiles of tile // width live trials.  Per row tile it yields (j, width,
+    done, *rows): the round's elements are j .. j + width - 1, rows are the
+    tile's slices of the live arrays, views the caller may update in place,
+    and done is the tile's slice of a zeroed mask, set by the caller for each
+    trial whose outcome is decided.  Done trials leave between rounds, so a
+    walk visits at most about twice the elements up to the one that decides
+    a trial, and what it counts does not depend on batching.
     """
-    counts, tile = [0] * len(cuts), _tile()
-    j, width, count = 0, 1, cuts[-1]
-    while j < count and alive.size:
-        width = min(width, count - j, max(1, _CHUNK_ELEMS // alive.size), tile)
-        firsts = np.arange(base + j * slots, base + (j + width) * slots, slots, dtype=np.uint64)
+    j = 0
+    while j < count and live[0].size:
+        width = min(width, count - j, max(1, _CHUNK_ELEMS // live[0].size), tile)
         rows = max(1, tile // width)
-        hit = np.zeros(alive.size, dtype=bool)
-        for row in range(0, alive.size, rows):
-            states, marked = alive[row : row + rows], hit[row : row + rows]
-            flat = hits(states, firsts)
-            # the hits below a cut are a prefix of flat: mark their trials cut by cut and count the marks
-            ends = np.searchsorted(flat, [min(max(cut - j, 0), width) * states.size for cut in cuts]).tolist()
-            done = seen = 0
-            for k, end in enumerate(ends):
-                if end > done:
-                    marked[flat[done:end] % states.size] = True
-                    done, seen = end, np.count_nonzero(marked)
-                counts[k] += seen
-        alive = alive[~hit]
+        done = np.zeros(live[0].size, dtype=bool)
+        for row in range(0, done.size, rows):
+            yield j, width, done[row : row + rows], *(array[row : row + rows] for array in live)
+        keep = ~done
+        live = [array[keep] for array in live]
         j += width
         width *= 2
-    return counts
 
 
 def run_assumption_trials(
@@ -351,9 +325,10 @@ def run_assumption_trials(
     degraded, its hits, drawing holder 2 at each.  A trial's walk stops at its
     first degraded hit below block b or once past block b - 1; block 0
     degraded, the per-block indicator, is hit 0 landing on block 0 and
-    degraded.  Hits are drawn in rounds whose width doubles, the first as wide
-    as a trial's expected hits, each round in (3, hits, trials) tiles of at
-    most half a tile; a trial that is done leaves between rounds.  The stream
+    degraded.  Hits are drawn in the rounds of :func:`_rounds`, the first as
+    wide as a trial's expected hits, in (3, hits, trials) tiles of at most
+    half a hash tile; each round draws the gaps, coins and holder 2 of its
+    hits and carries a trial's blocks passed to the next.  The stream
     layout is in :mod:`limpprob.rng`; each u < q and u < 2/(n-1) is
     read as a raw value against its :func:`~limpprob.rng.uniform_limit`.  At
     q = 0 nothing is drawn, and every count is 0.
@@ -370,47 +345,15 @@ def run_assumption_trials(
     # degraded), or past block b - 1, expected after bq hits: its first round is that wide
     p = 1.0 - (1.0 - 2.0 / (n - 1)) * (1.0 - q)
     hits = math.ceil(min(b * q, 1.0 / p)) if q > 0.0 else 0
-
-    def walk(tiles: _Tiles, alive: np.ndarray) -> tuple[int, int]:
-        """How many of the trials with states alive have block 0, and some block below b, degraded."""
-        block_hits = any_hits = 0
-        passed = np.zeros(alive.size, dtype=np.int64)  # blocks up to and including a live trial's last hit
-        # a round's tile holds half a hash tile: the gaps' float arithmetic makes several temporaries of a slot's
-        # size, and at whole tiles they raised compare's peak resident memory by 0.7 MB
-        k, width, tile = 0, hits, max(1, _tile() >> 1)
-        slots = np.arange(3, dtype=np.uint64)[:, None, None]
-        while alive.size:
-            # hit k of a trial reads n + 3k (gap), n + 3k + 1 (coin) and n + 3k + 2 (holder 2), and lands on
-            # block k or later: no trial walks more than b hits
-            width = min(width, b - k, max(1, _CHUNK_ELEMS // alive.size), max(1, tile // 3))
-            positions = np.arange(n + 3 * k, n + 3 * (k + width), 3, dtype=np.uint64)[:, None] + slots
-            step = max(1, tile // (3 * width))
-            done = np.zeros(alive.size, dtype=bool)
-            for row in range(0, alive.size, step):
-                states = alive[row : row + step]
-                gap, coin, holder = tiles.raws(states, positions)  # each (width, len(states))
-                # a hit is degraded when it lands below block b and holder 2 is the slow node or degraded
-                degraded = (coin < coin_limit) | (holder < q_limit)
-                ends = geometric_gaps(gap, log1m_q, b) + 1
-                ends[0] += passed[row : row + step]
-                np.cumsum(ends, axis=0, out=ends)  # per hit, the blocks up to and including it
-                degraded &= ends <= b
-                hit = degraded.any(axis=0)
-                if k == 0:
-                    block_hits += np.count_nonzero(degraded[0] & (ends[0] == 1))
-                any_hits += np.count_nonzero(hit)
-                done[row : row + step] = hit | (ends[-1] >= b)
-                passed[row : row + step] = ends[-1]
-            alive, passed = alive[~done], passed[~done]
-            k += width
-            width *= 2
-        return block_hits, any_hits
+    # a round's tile holds half a hash tile, (3, hits, trials): the gaps' float arithmetic makes several
+    # temporaries of a slot's size, and at whole tiles they raised compare's peak resident memory by 0.7 MB
+    tile, slots = max(1, (_tile() >> 1) // 3), np.arange(3, dtype=np.uint64)[:, None, None]
 
     def counts(batches):
         tiles = _Tiles()
         for states in batches:
             size, node_hits, cluster_hits, block_hits, any_hits = states.size, 0, 0, 0, 0
-            if q > 0.0:  # at q = 0 no node, and no block, is degraded
+            if q > 0.0:  # at q = 0 no node, and no block, is degraded; q > 0 only where m > 1, so b >= n
                 cluster = np.ones(size, dtype=bool)
                 for c in range(0, good, cols):
                     nodes = np.arange(c, min(good, c + cols), dtype=np.uint64)[:, None]
@@ -419,7 +362,24 @@ def run_assumption_trials(
                         node_hits += np.count_nonzero(degraded)
                         cluster[row : row + rows] &= degraded.all(axis=0)
                 cluster_hits = cluster.sum()
-                block_hits, any_hits = walk(tiles, states)  # q > 0 only where m > 1, so b >= n
+                # the block walk: hit k of a trial reads n + 3k (gap), n + 3k + 1 (coin) and n + 3k + 2 (holder 2),
+                # and lands on block k or later, so no trial walks more than b hits; passed is a live trial's blocks
+                # up to and including its last hit
+                for k, width, done, alive, passed in _rounds([states, np.zeros(size, dtype=np.int64)], b, hits, tile):
+                    positions = np.arange(n + 3 * k, n + 3 * (k + width), 3, dtype=np.uint64)[:, None] + slots
+                    gap, coin, holder = tiles.raws(alive, positions)  # each (width, len(alive))
+                    # a hit is degraded when it lands below block b and holder 2 is the slow node or degraded
+                    degraded = (coin < coin_limit) | (holder < q_limit)
+                    ends = geometric_gaps(gap, log1m_q, b) + 1
+                    ends[0] += passed
+                    np.cumsum(ends, axis=0, out=ends)  # per hit, the blocks up to and including it
+                    degraded &= ends <= b
+                    hit = degraded.any(axis=0)
+                    if k == 0:
+                        block_hits += np.count_nonzero(degraded[0] & (ends[0] == 1))
+                    any_hits += np.count_nonzero(hit)
+                    done[:] = hit | (ends[-1] >= b)
+                    passed[:] = ends[-1]
             yield (node_hits, size * good), (cluster_hits, size), (block_hits, size), (any_hits, size)
 
     # a trial reads its n - 2 node positions (counted as n: n - 2 and n - 1 go unread), then 3 per hit it walks
@@ -462,19 +422,37 @@ def _run_rw_column(
     slots, expected = (4, n) if protocol == "read" else (3, -(-n // 3))
 
     def counts(batches):
-        tiles = _Tiles()
-        if protocol == "read":
-            # the replica choice picks the first replica, and then the placement holds the slow node
-            def touched(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-                return _gated(tiles, states, firsts, 3, index_limit(3),
-                              lambda s, f: _holds_node_zero(lambda k: tiles.raws(s, f + k), n))
-        else:
-            def touched(states: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-                firsts = firsts[:, None]
-                return np.flatnonzero(_holds_node_zero(lambda k: tiles.raws(states, firsts + k), n))
+        tiles, choice_limit = _Tiles(), index_limit(3)
+
+        def first_hits(states: np.ndarray, j: int, width: int) -> np.ndarray:
+            """Per trial with states, its first slow request among j .. j + width - 1, less j; width if none."""
+            firsts = np.arange(j * slots, (j + width) * slots, slots, dtype=np.uint64)
+            if protocol == "read":
+                # the replica choice picks the first replica, and then the placement holds the slow node, drawn only
+                # for the pairs that passed the choice, as two gathered vectors
+                flat = np.flatnonzero(tiles.raws(states, firsts[:, None] + 3) < choice_limit)
+                picked, at = states[flat % states.size], firsts[flat // states.size]
+                flat = flat[_holds_node_zero(lambda k: tiles.raws(picked, at + k), n)]
+            else:
+                flat = np.flatnonzero(_holds_node_zero(lambda k: tiles.raws(states, firsts[:, None] + k), n))
+            # flat indexes the tile's hit (request, trial) pairs, requests outer.  numpy does not promise which value
+            # an assignment keeps at a repeated index, so a pass sets each trial to one of its hits and only hits
+            # before that one go on; set in reverse, the first pass keeps each trial's earliest in practice
+            first, trial, request = np.full(states.size, width), flat % states.size, flat // states.size
+            while trial.size:
+                first[trial[::-1]] = request[::-1]
+                earlier = request < first[trial]
+                trial, request = trial[earlier], request[earlier]
+            return first
 
         for states in batches:
-            yield [(hits, states.size) for hits in _count_hit_trials(states, requests, 0, slots, touched)]
+            found = [np.empty(0, dtype=np.int64)]  # the first slow requests of the trials hit so far
+            for j, width, done, alive in _rounds([states], requests[-1], 1, _tile()):
+                first = first_hits(alive, j, width)
+                np.less(first, width, out=done)
+                found.append(first[done] + j)
+            found = np.concatenate(found)  # a trial counts at every r above its first slow request
+            yield [(np.count_nonzero(found < r), states.size) for r in requests]
 
     per_trial = slots * min(requests[-1], expected)
     return list(_sample(counts, master_seed, trials, workers, per_trial, _CHUNK_ELEMS, range(len(requests))).values())

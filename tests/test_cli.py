@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import gc
+import hashlib
 import io
 import json
 import os
@@ -1055,3 +1056,34 @@ class TestImportDiet:
         proc = child("sweep --mode analytic --protocol read --nodes 10 --out sweep.csv")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0] ['tempfile']"
+
+
+# SHA-256 of every CSV that two assumption-sampler commands write, as of commit fca5111: perfbench checks the
+# compare-assumption workload only within a binomial band, so these catch a same-bytes refactor that moves a row.
+# A change that declares a new stream layout updates them.
+_PINNED_CSVS = {
+    "compare --sim assumption --nodes 10,30,50 --trials 500 --seed 3 --out compare.csv": {
+        "compare.csv": "10e84a0b29243d570b0851acef8dfc703c3a9d500a91562e06f17bc957987b92",
+    },
+    "figures --mode simulate --nodes 10,20 --trials 100 --seed 5 --out figs": {
+        "figs/any_block_degrade_prob.csv": "7996a862f21aa496f01a177212326e7bf2c56cc239530610e308a7e469a4a8dd",
+        "figs/block_degrade_prob.csv": "d5c824cd9965acde80e0e79bcb8493f290186ac2ed8d25b2b4e47ec382d4a503",
+        "figs/cluster_degrade_prob.csv": "3985e4553ab35d2dc12cafa34397b86ffec814f61443cc4197741f4b11be3d27",
+        "figs/node_degrade_prob.csv": "82981c8ecb29ccbdf80ea73c01853d4dd53cb191514072769538e85b2b482342",
+        "figs/read_request_prob.csv": "71d29a234f862a7ae2d462de41f51fbc155a54ae4ddeee1fa819d37bd3a9a3d9",
+        "figs/read_user_prob.csv": "330487773f51959f48ecb67ba51b497c09ec65f5c97ae17a6dce0cce2389b6ae",
+        "figs/write_request_prob.csv": "71d29a234f862a7ae2d462de41f51fbc155a54ae4ddeee1fa819d37bd3a9a3d9",
+        "figs/write_user_prob.csv": "e58bc5188dfd6ad12f7df8686ea34c2a264f0af0798b7f69f537bcb2b697fe15",
+    },
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("command", list(_PINNED_CSVS), ids=["compare", "figures"])
+    def test_assumption_sampler_csvs_keep_their_bytes(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        main(command.split())  # compare exits 1: one of its 54 points is beyond tolerance at 500 trials
+        capsys.readouterr()
+        written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.rglob("*") if path.is_file()}
+        assert written == _PINNED_CSVS[command]

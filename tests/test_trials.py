@@ -433,6 +433,17 @@ class TestLazyDraws:
         # where a draw per block would make b = 490
         assert visited <= 2 * 2000 * (b * q + 1)
 
+    @pytest.mark.parametrize("protocol", ["read", "write"])
+    def test_read_and_write_walks_drop_a_trial_once_it_is_hit(self, monkeypatch, protocol):
+        n, count = 50, 2000
+        # every visited request draws its replica choice (a read, slot 3) or its first replica (a write, slot 0)
+        slots, slot, expected = (4, 3, n) if protocol == "read" else (3, 0, -(-n // 3))
+        drawn = _draws_by_slot(monkeypatch, 0, slots, lambda: run_rw_trials(protocol, n, 1000, count, 1))
+        # a trial's first slow request comes after about n requests (a read) or n / 3 (a write), and rounds of
+        # doubling width at most double that; a walk that kept hit trials would visit all 1,000 requests of each
+        visited = drawn[slot]
+        assert count < visited <= 2 * count * (expected + 1)
+
     def test_read_draws_placement_only_when_choosing_the_first_replica(self, monkeypatch):
         drawn = _draws_by_slot(monkeypatch, 0, 4, lambda: run_rw_trials("read", 50, 100, 2000, 1))
         visited = drawn[3]  # the replica choice is drawn for every visited request
@@ -441,7 +452,10 @@ class TestLazyDraws:
 
 
 class TestChunking:
-    def test_tiny_budget_gives_identical_results(self, monkeypatch):
+    # at 16 a round holds one position per tile; at 1 << 12 its rounds are capped by _CHUNK_ELEMS // live trials
+    # and run in row tiles
+    @pytest.mark.parametrize("budget", [16, 1 << 12])
+    def test_tiny_budget_gives_identical_results(self, monkeypatch, budget):
         def run_all():
             return (
                 run_assumption_trials(RegenParams(30, 290), 300, master_seed=4),
@@ -453,7 +467,7 @@ class TestChunking:
             )
 
         want = run_all()
-        monkeypatch.setattr(trials, "_CHUNK_ELEMS", 16)
+        monkeypatch.setattr(trials, "_CHUNK_ELEMS", budget)
         assert run_all() == want
 
 
