@@ -15,7 +15,7 @@ Three flavors:
 * :func:`run_rw_trials` samples read/write request streams; :func:`_run_rw_column`
   serves several request counts r at one n from one walk to the largest.
 
-Each sampler checks its inputs and hands a ``counts(batches)`` to
+Each sampler checks its inputs and hands a ``counts(tiles, batches)`` to
 :func:`_sample`, the one batching and thread policy: the trials split into
 contiguous index ranges (:func:`_partition`), one thread each, each range is
 walked in batches, and the per-metric integer (successes, observations) pairs
@@ -30,13 +30,13 @@ for a second thread to pay).  Every array a sampler hashes per block, node or
 request (placement and the protocol plan's rank and coin draws, node pass,
 the first-hit rounds, and a read's placement, drawn only behind its replica
 choice) is one tile of at most ``_CHUNK_ELEMS >> 4`` positions, hashed by
-:meth:`_Tiles.hash` into the two buffers that each thread range makes once.
-The node pass and the rounds lay a tile out as (elements, trials), with the
-trials inner, so numpy's inner loops run along up to thousands of trials,
-not along 1 to 256 elements.  Both first-hit walks, the read/write request
-walk and the assumption block walk, which visits only the blocks whose
-holder 1 is degraded, a Geometric(q) gap apart, run in the rounds of
-:func:`_rounds`, each with its own tile.  A read/write round reads its hit
+:meth:`_Tiles.hash` into the two buffers :func:`_sample` makes per thread
+range.  Every assumption and read/write draw runs in the rounds of
+:func:`_rounds`, which lay a tile out as (elements, trials), trials inner,
+so numpy's inner loops run along up to thousands of trials: the node pass,
+the read/write request walk and the block walk, which visits only the
+blocks whose holder 1 is degraded, a Geometric(q) gap apart.  Only protocol
+placement and plan keep tiles of their own.  A read/write round reads its hit
 pairs back as flat indices into its tile, takes each trial's first slow
 request from them, and every r of a read/write column is counted from those
 first requests: one walk serves the column.
@@ -92,12 +92,12 @@ def _sample(counts, master_seed: int, trials: int, workers: int, per_trial: int,
     """The one sampler driver: {metric: EstimateSummary} over trials 0 .. trials-1.
 
     The ranges of :func:`_partition` run one thread each, and each range is
-    walked in batches of at most `batch` consecutive trials.  counts(batches)
-    is called once per range with an iterator over its batches' trial states
-    and yields, per batch, one (successes, observations) pair per metric, in
-    the order of metrics; the pairs are summed as integers.  So counts loops
-    inline: what it makes once per range, such as hash buffers, it reuses
-    across batches, and a batch's arrays are freed one by one as the next
+    walked in batches of at most `batch` consecutive trials.  counts(tiles,
+    batches) is called once per range with the range's :class:`_Tiles` and an
+    iterator over its batches' trial states, and yields, per batch, one
+    (successes, observations) pair per metric, in the order of metrics; the
+    pairs are summed as integers.  So counts loops inline: the hash buffers
+    serve every batch, and a batch's arrays are freed one by one as the next
     batch replaces them, never all at once at a function return, which on
     glibc gives the heap back to the kernel only for the next batch to fault
     it in again.
@@ -110,7 +110,7 @@ def _sample(counts, master_seed: int, trials: int, workers: int, per_trial: int,
         batches = (trial_states_np(master_seed, np.arange(lo, min(part[1], lo + batch), dtype=np.int64))
                    for lo in range(*part, batch))
         sums = [(0, 0)] * len(metrics)
-        for pairs in counts(batches):
+        for pairs in counts(_Tiles(), batches):
             sums = [(hits + int(h), seen + int(s)) for (hits, seen), (h, s) in zip(sums, pairs)]
         return sums
 
@@ -126,7 +126,7 @@ def _sample(counts, master_seed: int, trials: int, workers: int, per_trial: int,
 
 
 class _Tiles:
-    """The two uint64 hash buffers of one thread range, made in its ``counts(batches)`` call.
+    """The two uint64 hash buffers of one thread range, made by :func:`_sample` for its ``counts`` call.
 
     :meth:`hash` hashes every stream position a sampler reads into views of
     them, so once they have grown (lazily, to the largest tile the range asks
@@ -232,8 +232,7 @@ def run_protocol_trials(
     steps = step_terms_np(3 * np.arange(cols, dtype=np.uint64) + np.arange(3, dtype=np.uint64)[:, None])[:, None]
     bounds = np.array([[n], [n - 1], [n - 2]])
 
-    def counts(batches):
-        tiles = _Tiles()
+    def counts(tiles, batches):
         for states in batches:
             size = states.size
             # placement: a block is lost when a raw replica index is 0 (node 0)
@@ -280,18 +279,19 @@ def run_protocol_trials(
 
 
 def _rounds(live: list, count: int, width: int, tile: int):
-    """The one first-hit walk over elements 0 .. count - 1 of some trials, for both first-hit samplers.
+    """The one round walk over elements 0 .. count - 1 of some trials, for every assumption and read/write draw.
 
     live lists per-trial arrays, the trial states first.  Rounds start width
     wide and double; each is capped by the elements left, by _CHUNK_ELEMS //
     live trials and by tile, the caller's elements per tile, and runs in row
     tiles of tile // width live trials.  Per row tile it yields (j, width,
     done, *rows): the round's elements are j .. j + width - 1, rows are the
-    tile's slices of the live arrays, views the caller may update in place,
-    and done is the tile's slice of a zeroed mask, set by the caller for each
-    trial whose outcome is decided.  Done trials leave between rounds, so a
-    walk visits at most about twice the elements up to the one that decides
-    a trial, and what it counts does not depend on batching.
+    tile's slices of the live arrays, views the caller may update in place
+    and that carry into the next round, and done is the tile's slice of a
+    zeroed mask, set by the caller for each trial whose outcome is decided.
+    Done trials leave between rounds, so a first-hit walk visits at most
+    about twice the elements up to the one that decides a trial, and what it
+    counts does not depend on batching.
     """
     j = 0
     while j < count and live[0].size:
@@ -315,7 +315,9 @@ def run_assumption_trials(
     below q, the exact law of >= 2 slow hits among floor(m) +
     Bernoulli(frac(m)) copy tasks, so the estimates converge to
     :func:`limpprob.model.assumption_targets` at every b.  The cluster
-    indicator needs all good nodes degraded.  Each of the b blocks draws
+    indicator needs all good nodes degraded: the node pass runs in
+    :func:`_rounds` with no trial done early, and the round that reaches
+    node n - 3 counts the flags its row tiles AND.  Each of the b blocks draws
     fresh indicators for its two surviving holders, as independent as the
     closed form assumes: one is degraded (odds q), and the other is the slow
     node (odds 2/(n-1), a uniform survivor pair's) or degraded.  Holder 1's
@@ -338,9 +340,7 @@ def run_assumption_trials(
     q = _node_target(n, b)
     q_limit, coin_limit = uniform_limit(q), uniform_limit(2.0 / (n - 1))
     log1m_q = math.log1p(-q) if q < 1.0 else -math.inf
-    # node pass: batches of _CHUNK_ELEMS // good trials, hashed in tiles of cols nodes x rows trials
-    batch, cols = max(1, _CHUNK_ELEMS // good), min(good, _tile())
-    rows = _tile() // cols
+    batch = max(1, _CHUNK_ELEMS // good)  # then _CHUNK_ELEMS // live trials >= good: only the tile caps a node round
     # a walk stops at its first degraded hit, expected after 1/p hits with p = P(holder 2 is the slow node or
     # degraded), or past block b - 1, expected after bq hits: its first round is that wide
     p = 1.0 - (1.0 - 2.0 / (n - 1)) * (1.0 - q)
@@ -349,19 +349,17 @@ def run_assumption_trials(
     # temporaries of a slot's size, and at whole tiles they raised compare's peak resident memory by 0.7 MB
     tile, slots = max(1, (_tile() >> 1) // 3), np.arange(3, dtype=np.uint64)[:, None, None]
 
-    def counts(batches):
-        tiles = _Tiles()
+    def counts(tiles, batches):
         for states in batches:
             size, node_hits, cluster_hits, block_hits, any_hits = states.size, 0, 0, 0, 0
             if q > 0.0:  # at q = 0 no node, and no block, is degraded; q > 0 only where m > 1, so b >= n
-                cluster = np.ones(size, dtype=bool)
-                for c in range(0, good, cols):
-                    nodes = np.arange(c, min(good, c + cols), dtype=np.uint64)[:, None]
-                    for row in range(0, size, rows):
-                        degraded = tiles.raws(states[row : row + rows], nodes) < q_limit
-                        node_hits += np.count_nonzero(degraded)
-                        cluster[row : row + rows] &= degraded.all(axis=0)
-                cluster_hits = cluster.sum()
+                # the node pass: node k reads position k, and no trial is done before its last node
+                for k, width, _, alive, cluster in _rounds([states, np.ones(size, dtype=bool)], good, good, _tile()):
+                    degraded = tiles.raws(alive, np.arange(k, k + width, dtype=np.uint64)[:, None]) < q_limit
+                    node_hits += np.count_nonzero(degraded)
+                    cluster &= degraded.all(axis=0)
+                    if k + width == good:
+                        cluster_hits += np.count_nonzero(cluster)
                 # the block walk: hit k of a trial reads n + 3k (gap), n + 3k + 1 (coin) and n + 3k + 2 (holder 2),
                 # and lands on block k or later, so no trial walks more than b hits; passed is a live trial's blocks
                 # up to and including its last hit
@@ -421,9 +419,9 @@ def _run_rw_column(
     # a trial stops at its first slow request, expected after 1/p requests: p = 1/n a read, 3/n a write
     slots, expected = (4, n) if protocol == "read" else (3, -(-n // 3))
 
-    def counts(batches):
-        tiles, choice_limit = _Tiles(), index_limit(3)
+    choice_limit = index_limit(3)
 
+    def counts(tiles, batches):
         def first_hits(states: np.ndarray, j: int, width: int) -> np.ndarray:
             """Per trial with states, its first slow request among j .. j + width - 1, less j; width if none."""
             firsts = np.arange(j * slots, (j + width) * slots, slots, dtype=np.uint64)

@@ -223,5 +223,15 @@ def test_criterion_8_cli_determinism(tmp_path, capsys, split_calls):
             failures.append(("compare-exit", workers))
     if len({p.read_bytes() for p in cmp_paths}) != 1:
         failures.append("compare outputs differ")
+
+    # the (100, 3200) anchor reads about 151 positions a trial, so its 200 trials split at this budget
+    figures_args = ["figures", "--mode", "both", "--nodes", "10,20", "--trials", "200", "--seed", str(SEED)]
+    fig_dirs = [tmp_path / name for name in ("f1", "f4")]
+    for path, workers in zip(fig_dirs, ("1", "4")):
+        if main(figures_args + ["--workers", workers, "--out", str(path)]) != 0:
+            failures.append(("figures-exit", workers))
+    fig_files = [{p.relative_to(d): p.read_bytes() for p in d.rglob("*.csv")} for d in fig_dirs]
+    if not fig_files[0] or fig_files[0] != fig_files[1]:
+        failures.append("figures outputs differ")
     capsys.readouterr()  # swallow table output so the report line stands alone
     _report("criterion 8 (byte-identical outputs across runs and workers)", failures, started, budget_s=60.0)

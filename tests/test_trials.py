@@ -604,12 +604,14 @@ class TestAssumptionTrials:
         assert one == three
 
     def test_matches_scalar_stream_layout(self, monkeypatch):
-        # (5, 12): the smallest n, with q = 7/27 and a with-slow coin of odds 1/2
+        # (5, 12): the smallest n, with q = 7/27 and a with-slow coin of odds 1/2.  At a budget of 1 << 12 a hash
+        # tile holds 256 positions: (300, 600)'s node pass runs a round of 256 nodes x 1 trial, then one of 42
+        # nodes x 5 trials (q is about 0), and its first-hit rounds reach 32 blocks x 5 trials, more elements than
+        # trials.  At 16 a tile holds one position, so the node pass runs one round per node, and the cluster,
+        # degraded in 285 of the 300 trials at (10, 450) (q = 0.99) and in 4 at (5, 12), is counted in the last
         for n, b, count, budget in ((10, 50, 300, None), (12, 22, 300, None), (10, 9, 300, None), (7, 0, 300, None),
-                                    (5, 12, 300, None), (300, 600, 5, 1 << 12)):
+                                    (5, 12, 300, None), (300, 600, 5, 1 << 12), (10, 450, 300, 16), (5, 12, 300, 16)):
             if budget:
-                # tiles of 256 positions: node-pass tiles of 256 nodes x 1 trial, and first-hit rounds of up to
-                # 32 blocks x 5 trials, which hold more elements than trials
                 monkeypatch.setattr(trials, "_CHUNK_ELEMS", budget)
             est = run_assumption_trials(RegenParams(n, b), count, master_seed=31)
             got = [est[m].successes for m in (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)]
@@ -758,6 +760,19 @@ class TestProtocolTrials:
             run_protocol_trials(10, 10, 0, master_seed=0)
         with pytest.raises(InvalidParamsError, match="take at most"):
             run_protocol_trials(trials._CHUNK_ELEMS + 1, 1, 1, master_seed=0)
+
+    def test_preconditions(self):
+        for n, b_total in ((4, 10), (10, 0), (7.5, 10), (10, 2.5), (10, True)):
+            with pytest.raises(InvalidParamsError):
+                run_protocol_trials(n, b_total, 1, master_seed=0)
+
+    def test_empty_scenario(self):
+        # a trial whose one block avoids the crashed node regenerates nothing
+        seed = next(s for s in range(100) if not _regen_plan(6, 1, TrialStream(s, 0)))
+        est = run_protocol_trials(6, 1, 1, master_seed=seed)
+        assert est[BLOCK_DEGRADE].trials == 0
+        for metric in (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE):
+            assert est[metric].successes == 0
 
     @pytest.mark.parametrize("n, most", [(5, 349_525), (10, 699_050)])
     def test_placement_cap_follows_the_expected_lost_blocks(self, n, most):
