@@ -28,6 +28,8 @@ gap G_k, :func:`geometric_gaps`), n+3k+1 (with-slow coin) and n+3k+2 (holder 2
 degraded); hit k lands on block G_0 + ... + G_k + k, and block 0 degraded, the
 per-block draw, is hit 0 landing on block 0 and degraded.  Reads: request j
 at [4j, 4j+3) (placement) and 4j+3 (replica choice); writes: [3j, 3j+3).
+As layouts (first, slots), element j at first + slots*j + c for c < slots:
+nodes (0, 1), hits (n, 3), reads (0, 4), writes (0, 3).
 Protocol: placed block i at [3i, 3i+3) (its three raw replica indices), then
 the k-th lost block in block-id order, k = 0, 1, ..., at 3*b_total + 2k
 (source coin) and 3*b_total + 2k + 1 (destination rank).  The assumption

@@ -32,14 +32,15 @@ the first-hit rounds, and a read's placement, drawn only behind its replica
 choice) is one tile of at most ``_CHUNK_ELEMS >> 4`` positions, hashed by
 :meth:`_Tiles.hash` into the two buffers :func:`_sample` makes per thread
 range.  Every assumption and read/write draw runs in the rounds of
-:func:`_rounds`, which lay a tile out as (elements, trials), trials inner,
-so numpy's inner loops run along up to thousands of trials: the node pass,
-the read/write request walk and the block walk, which visits only the
-blocks whose holder 1 is degraded, a Geometric(q) gap apart.  Only protocol
-placement and plan keep tiles of their own.  A read/write round reads its hit
-pairs back as flat indices into its tile, takes each trial's first slow
-request from them, and every r of a read/write column is counted from those
-first requests: one walk serves the column.
+:func:`_rounds`, which own each walk's stream layout, make a round's step
+terms once and lay a tile out as (elements, trials), trials inner, so
+numpy's inner loops run along up to thousands of trials: the node pass, the
+read/write request walk and the block walk, which visits only the blocks
+whose holder 1 is degraded, a Geometric(q) gap apart.  Only protocol
+placement and plan keep tiles of their own.  A read/write round takes each
+trial's first slow request from its tile's flat hit indices, and every r of
+a read/write column is counted from those first requests: one walk serves
+the column.
 
 Estimates are keyed by the metric names of :mod:`limpprob.model`.  This module
 and :mod:`limpprob.rng` are the only ones that import numpy; the package root
@@ -128,13 +129,14 @@ def _sample(counts, master_seed: int, trials: int, workers: int, per_trial: int,
 class _Tiles:
     """The two uint64 hash buffers of one thread range, made by :func:`_sample` for its ``counts`` call.
 
-    :meth:`hash` hashes every stream position a sampler reads into views of
-    them, so once they have grown (lazily, to the largest tile the range asks
-    for) a range hashes without fresh memory.  Fresh temporaries per ufunc
-    cost the protocol kernel about 35,000 more page faults on the compare
-    grid.  Tile-sized ones in only some passes cost more still: with nothing
-    large ever freed, glibc's mmap threshold never rises, and each one is
-    mapped and unmapped.
+    :meth:`hash` hashes every stream position a sampler reads, given as its
+    :func:`~limpprob.rng.step_terms_np` term, into views of them, so once
+    they have grown (lazily, to the largest tile the range asks for) a range
+    hashes without fresh memory.
+    Fresh temporaries per ufunc cost the protocol kernel about 35,000 more
+    page faults on the compare grid.  Tile-sized ones in only some passes
+    cost more still: with nothing large ever freed, glibc's mmap threshold
+    never rises, and each one is mapped and unmapped.
     """
 
     __slots__ = ("raw", "scratch")
@@ -156,15 +158,12 @@ class _Tiles:
             self.raw, self.scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
         return raws_into(self.raw[:size].reshape(shape), states, steps, self.scratch[:size].reshape(shape))
 
-    def raws(self, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Raw values of uint64 states at uint64 positions, broadcast together: :meth:`hash` of their steps."""
-        return self.hash(states, step_terms_np(positions))
-
     def below(self, states: np.ndarray, positions: np.ndarray, limit: int) -> np.ndarray:
         """Whether the raw values of state and position vectors are below limit, hashed one tile at a time."""
         out, tile = np.empty(positions.size, dtype=bool), _tile()
         for i in range(0, positions.size, tile):
-            np.less(self.raws(states[i : i + tile], positions[i : i + tile]), limit, out=out[i : i + tile])
+            steps = step_terms_np(positions[i : i + tile])
+            np.less(self.hash(states[i : i + tile], steps), limit, out=out[i : i + tile])
         return out
 
 
@@ -278,28 +277,33 @@ def run_protocol_trials(
     return _sample(counts, master_seed, trials, workers, 3 * b_total, stage, _REGEN_METRICS)
 
 
-def _rounds(live: list, count: int, width: int, tile: int):
+def _rounds(live: list, count: int, width: int, tile: int, first: int, slots: int):
     """The one round walk over elements 0 .. count - 1 of some trials, for every assumption and read/write draw.
 
-    live lists per-trial arrays, the trial states first.  Rounds start width
-    wide and double; each is capped by the elements left, by _CHUNK_ELEMS //
-    live trials and by tile, the caller's elements per tile, and runs in row
-    tiles of tile // width live trials.  Per row tile it yields (j, width,
-    done, *rows): the round's elements are j .. j + width - 1, rows are the
-    tile's slices of the live arrays, views the caller may update in place
-    and that carry into the next round, and done is the tile's slice of a
-    zeroed mask, set by the caller for each trial whose outcome is decided.
-    Done trials leave between rounds, so a first-hit walk visits at most
-    about twice the elements up to the one that decides a trial, and what it
-    counts does not depend on batching.
+    Element j reads stream positions first + slots * j + c, c < slots.  live
+    lists per-trial arrays, the trial states first.  Rounds start width wide
+    and double; each is capped by the elements left, by _CHUNK_ELEMS // live
+    trials and by tile, the caller's elements per tile, and runs in row tiles
+    of tile // width live trials.  Per row tile it yields (j, width, steps,
+    done, *rows): the round's elements are j .. j + width - 1, steps their
+    (slots, width, 1) step terms, made once a round, rows the tile's slices
+    of the live arrays, views the caller may update in place and that carry
+    into the next round, and done the tile's slice of a zeroed mask, set by
+    the caller for each decided trial.  Done trials leave between rounds, so
+    a first-hit walk visits at most about twice the elements up to the one
+    that decides a trial, and what it counts does not depend on batching.
+    The live cap bounds no array (none holds width x live elements): it keeps
+    a round to about _CHUNK_ELEMS // tile row tiles, so decided trials leave
+    soon.
     """
-    j = 0
+    j, offsets = 0, np.arange(slots, dtype=np.uint64)[:, None, None]
     while j < count and live[0].size:
         width = min(width, count - j, max(1, _CHUNK_ELEMS // live[0].size), tile)
         rows = max(1, tile // width)
+        steps = step_terms_np(first + slots * np.arange(j, j + width, dtype=np.uint64)[:, None] + offsets)
         done = np.zeros(live[0].size, dtype=bool)
         for row in range(0, done.size, rows):
-            yield j, width, done[row : row + rows], *(array[row : row + rows] for array in live)
+            yield j, width, steps, done[row : row + rows], *(array[row : row + rows] for array in live)
         keep = ~done
         live = [array[keep] for array in live]
         j += width
@@ -316,24 +320,26 @@ def run_assumption_trials(
     Bernoulli(frac(m)) copy tasks, so the estimates converge to
     :func:`limpprob.model.assumption_targets` at every b.  The cluster
     indicator needs all good nodes degraded: the node pass runs in
-    :func:`_rounds` with no trial done early, and the round that reaches
-    node n - 3 counts the flags its row tiles AND.  Each of the b blocks draws
-    fresh indicators for its two surviving holders, as independent as the
-    closed form assumes: one is degraded (odds q), and the other is the slow
-    node (odds 2/(n-1), a uniform survivor pair's) or degraded.  Holder 1's
-    draws are i.i.d. Bernoulli(q), so the block walk skips each run of misses
-    in one Geometric(q) draw (:func:`~limpprob.rng.geometric_gaps`; Vitter's
-    skip, drawn by inversion) and visits only the blocks whose holder 1 is
-    degraded, its hits, drawing holder 2 at each.  A trial's walk stops at its
-    first degraded hit below block b or once past block b - 1; block 0
+    :func:`_rounds` at layout (first, slots) = (0, 1) with no trial done
+    early, and the round that reaches node n - 3 counts the flags its row
+    tiles AND.  Each of the b blocks draws fresh indicators
+    for its two surviving holders, as independent as the closed form
+    assumes: one is degraded (odds q), and the other is the slow node (odds
+    2/(n-1), a uniform survivor pair's) or degraded.  Holder 1's draws are
+    i.i.d. Bernoulli(q), so the block walk skips each run of misses in one
+    Geometric(q) draw (:func:`~limpprob.rng.geometric_gaps`; Vitter's skip,
+    drawn by inversion) and visits only the blocks whose holder 1 is
+    degraded, its hits, drawing holder 2 at each.  A trial's walk stops at
+    its first degraded hit below block b or once past block b - 1; block 0
     degraded, the per-block indicator, is hit 0 landing on block 0 and
-    degraded.  Hits are drawn in the rounds of :func:`_rounds`, the first as
-    wide as a trial's expected hits, in (3, hits, trials) tiles of at most
-    half a hash tile; each round draws the gaps, coins and holder 2 of its
-    hits and carries a trial's blocks passed to the next.  The stream
-    layout is in :mod:`limpprob.rng`; each u < q and u < 2/(n-1) is
-    read as a raw value against its :func:`~limpprob.rng.uniform_limit`.  At
-    q = 0 nothing is drawn, and every count is 0.
+    degraded.  Hits are drawn in the rounds of :func:`_rounds` at layout
+    (n, 3), the first as wide as a trial's expected hits, in (3, hits,
+    trials) tiles of at most half a hash tile; each round draws the gaps,
+    coins and holder 2 of its hits and carries a trial's blocks passed to
+    the next.  The stream layout is in :mod:`limpprob.rng`; each u < q and
+    u < 2/(n-1) is read as a raw value against its
+    :func:`~limpprob.rng.uniform_limit`.  At q = 0 nothing is drawn, and
+    every count is 0.
     """
     n, b = params.n, params.b
     good = n - 2
@@ -347,15 +353,16 @@ def run_assumption_trials(
     hits = math.ceil(min(b * q, 1.0 / p)) if q > 0.0 else 0
     # a round's tile holds half a hash tile, (3, hits, trials): the gaps' float arithmetic makes several
     # temporaries of a slot's size, and at whole tiles they raised compare's peak resident memory by 0.7 MB
-    tile, slots = max(1, (_tile() >> 1) // 3), np.arange(3, dtype=np.uint64)[:, None, None]
+    tile = max(1, (_tile() >> 1) // 3)
 
     def counts(tiles, batches):
         for states in batches:
             size, node_hits, cluster_hits, block_hits, any_hits = states.size, 0, 0, 0, 0
             if q > 0.0:  # at q = 0 no node, and no block, is degraded; q > 0 only where m > 1, so b >= n
                 # the node pass: node k reads position k, and no trial is done before its last node
-                for k, width, _, alive, cluster in _rounds([states, np.ones(size, dtype=bool)], good, good, _tile()):
-                    degraded = tiles.raws(alive, np.arange(k, k + width, dtype=np.uint64)[:, None]) < q_limit
+                nodes = _rounds([states, np.ones(size, dtype=bool)], good, good, _tile(), 0, 1)
+                for k, width, steps, _, alive, cluster in nodes:
+                    degraded = tiles.hash(alive, steps[0]) < q_limit
                     node_hits += np.count_nonzero(degraded)
                     cluster &= degraded.all(axis=0)
                     if k + width == good:
@@ -363,9 +370,9 @@ def run_assumption_trials(
                 # the block walk: hit k of a trial reads n + 3k (gap), n + 3k + 1 (coin) and n + 3k + 2 (holder 2),
                 # and lands on block k or later, so no trial walks more than b hits; passed is a live trial's blocks
                 # up to and including its last hit
-                for k, width, done, alive, passed in _rounds([states, np.zeros(size, dtype=np.int64)], b, hits, tile):
-                    positions = np.arange(n + 3 * k, n + 3 * (k + width), 3, dtype=np.uint64)[:, None] + slots
-                    gap, coin, holder = tiles.raws(alive, positions)  # each (width, len(alive))
+                walk = _rounds([states, np.zeros(size, dtype=np.int64)], b, hits, tile, n, 3)
+                for k, width, steps, done, alive, passed in walk:
+                    gap, coin, holder = tiles.hash(alive, steps)  # each (width, len(alive))
                     # a hit is degraded when it lands below block b and holder 2 is the slow node or degraded
                     degraded = (coin < coin_limit) | (holder < q_limit)
                     ends = geometric_gaps(gap, log1m_q, b) + 1
@@ -416,37 +423,28 @@ def _run_rw_column(
     for r in requests:
         WorkloadParams(r)
 
-    # a trial stops at its first slow request, expected after 1/p requests: p = 1/n a read, 3/n a write
+    # request j reads slots * j + c, c < slots; a trial stops at its first slow request, expected after 1/p
+    # requests: p = 1/n a read, 3/n a write
     slots, expected = (4, n) if protocol == "read" else (3, -(-n // 3))
 
     choice_limit = index_limit(3)
 
     def counts(tiles, batches):
-        def first_hits(states: np.ndarray, j: int, width: int) -> np.ndarray:
-            """Per trial with states, its first slow request among j .. j + width - 1, less j; width if none."""
-            firsts = np.arange(j * slots, (j + width) * slots, slots, dtype=np.uint64)
-            if protocol == "read":
-                # the replica choice picks the first replica, and then the placement holds the slow node, drawn only
-                # for the pairs that passed the choice, as two gathered vectors
-                flat = np.flatnonzero(tiles.raws(states, firsts[:, None] + 3) < choice_limit)
-                picked, at = states[flat % states.size], firsts[flat // states.size]
-                flat = flat[_holds_node_zero(lambda k: tiles.raws(picked, at + k), n)]
-            else:
-                flat = np.flatnonzero(_holds_node_zero(lambda k: tiles.raws(states, firsts[:, None] + k), n))
-            # flat indexes the tile's hit (request, trial) pairs, requests outer.  numpy does not promise which value
-            # an assignment keeps at a repeated index, so a pass sets each trial to one of its hits and only hits
-            # before that one go on; set in reverse, the first pass keeps each trial's earliest in practice
-            first, trial, request = np.full(states.size, width), flat % states.size, flat // states.size
-            while trial.size:
-                first[trial[::-1]] = request[::-1]
-                earlier = request < first[trial]
-                trial, request = trial[earlier], request[earlier]
-            return first
-
         for states in batches:
             found = [np.empty(0, dtype=np.int64)]  # the first slow requests of the trials hit so far
-            for j, width, done, alive in _rounds([states], requests[-1], 1, _tile()):
-                first = first_hits(alive, j, width)
+            for j, width, steps, done, alive in _rounds([states], requests[-1], 1, _tile(), 0, slots):
+                # flat indexes the tile's hit (request, trial) pairs, requests outer
+                if protocol == "read":
+                    # the replica choice picks the first replica, and then the placement holds the slow node,
+                    # drawn only for the pairs that passed the choice, as two gathered vectors
+                    flat = np.flatnonzero(tiles.hash(alive, steps[3]) < choice_limit)
+                    picked, at = alive[flat % alive.size], flat // alive.size
+                    flat = flat[_holds_node_zero(lambda k: tiles.hash(picked, steps[k, :, 0][at]), n)]
+                    del picked, at  # kept alive into the next tile, they raised peak RSS by 0.5 MB
+                else:
+                    flat = np.flatnonzero(_holds_node_zero(lambda k: tiles.hash(alive, steps[k]), n))
+                first = np.full(alive.size, width)  # per trial, its first slow request in the round, less j
+                np.minimum.at(first, flat % alive.size, flat // alive.size)
                 np.less(first, width, out=done)
                 found.append(first[done] + j)
             found = np.concatenate(found)  # a trial counts at every r above its first slow request

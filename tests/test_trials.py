@@ -402,19 +402,20 @@ def _child_stdout(code):
 def _draws_by_slot(monkeypatch, base, slots, run):
     """Raw values and uniforms drawn at positions >= base while run() runs, counted by (position - base) % slots.
 
-    Draws are tiles hashed into a thread range's buffers by position (_Tiles.raws).
+    Draws are tiles hashed into a thread range's buffers at step terms (_Tiles.hash), (position + 1) * GOLDEN
+    mod 2**64, so a position is its step times GOLDEN's inverse mod 2**64, less 1.
     """
     drawn = np.zeros(slots, dtype=np.int64)
-    draw = trials._Tiles.raws
+    draw, inverse = trials._Tiles.hash, np.uint64(pow(rng.GOLDEN, -1, 2**64))
 
-    def counting(*args):  # (the range's tiles, states, positions)
+    def counting(*args):  # (the range's tiles, states, steps)
         u = draw(*args)
-        pos = np.broadcast_to(args[-1], u.shape)
+        pos = np.broadcast_to(args[-1] * inverse - np.uint64(1), u.shape)
         pos = pos[pos >= base].astype(np.int64) - base
         drawn[:] += np.bincount(pos % slots, minlength=slots)
         return u
 
-    monkeypatch.setattr(trials._Tiles, "raws", counting)
+    monkeypatch.setattr(trials._Tiles, "hash", counting)
     run()
     return drawn
 
@@ -453,7 +454,8 @@ class TestLazyDraws:
 
 class TestChunking:
     # at 16 a round holds one position per tile; at 1 << 12 its rounds are capped by _CHUNK_ELEMS // live trials
-    # and run in row tiles
+    # and run in row tiles.  That cap bounds no array (none holds width x live elements): it keeps a round to about
+    # _CHUNK_ELEMS // tile row tiles, so decided trials leave the walk soon
     @pytest.mark.parametrize("budget", [16, 1 << 12])
     def test_tiny_budget_gives_identical_results(self, monkeypatch, budget):
         def run_all():
