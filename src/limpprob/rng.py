@@ -22,14 +22,14 @@ subset of a trial's positions, e.g. only the ones that can still change its
 outcome, and the positions it does read keep their values.
 
 Stream layouts per trial (changing one changes simulated CSV rows):
-assumption sampler: one node indicator per good node at [0, n-2), n-2 and n-1
-unread, then the k-th block whose holder 1 is degraded, its hit k, at n+3k (its
-gap G_k, :func:`geometric_gaps`), n+3k+1 (with-slow coin) and n+3k+2 (holder 2
+assumption sampler: the count of degraded good nodes at 0 (1..n-1 unread),
+then hit k, the k-th block whose holder 1 is degraded, at n+3k (its gap G_k,
+:func:`geometric_gaps`), n+3k+1 (with-slow coin) and n+3k+2 (holder 2
 degraded); hit k lands on block G_0 + ... + G_k + k, and block 0 degraded, the
-per-block draw, is hit 0 landing on block 0 and degraded.  Reads: request j
-at [4j, 4j+3) (placement) and 4j+3 (replica choice); writes: [3j, 3j+3).
+per-block draw, is hit 0 landing on block 0 and degraded.  Reads: request j at
+[4j, 4j+3) (placement) and 4j+3 (replica choice); writes: [3j, 3j+3).
 As layouts (first, slots), element j at first + slots*j + c for c < slots:
-nodes (0, 1), hits (n, 3), reads (0, 4), writes (0, 3).
+count (0, 1), hits (n, 3), reads (0, 4), writes (0, 3).
 Protocol: placed block i at [3i, 3i+3) (its three raw replica indices), then
 the k-th lost block in block-id order, k = 0, 1, ..., at 3*b_total + 2k
 (source coin) and 3*b_total + 2k + 1 (destination rank).  The assumption
@@ -39,15 +39,17 @@ per-trial replay in tests/test_trials.py that reads it through
 :class:`TrialStream` and applies the protocol rules block by block.
 
 Every sampler decision reads raw 64-bit values (:func:`raws_into`, into
-buffers the caller reuses): a yes or no, u < x or index(u, k) == 0, against
-an exact integer threshold, :func:`uniform_limit` or :func:`index_limit`, and
-an index by :func:`to_index`.  Each gives the outcome of the position's
-uniform, but no sampler makes one: :func:`uniforms_np` serves
-:class:`TrialStream` and the tests.  The one float function of a uniform is
-the assumption walk's gap, log(1 - u) / log1p(-q) rounded down, whose log is
-spelled out in basic float operations (:func:`log1m_uniforms`): numpy's
-``log`` and ``log1p`` dispatch per CPU and differ from libm's in the last bit
-on some inputs, so they could not fix a layout.
+buffers the caller reuses): a yes or no, u < x or index(u, k) == 0, against an
+exact integer threshold, :func:`uniform_limit` or :func:`index_limit`, an
+index by :func:`to_index`, and a count against a table, :func:`_cdf_limits`,
+which never draws one whose odds are below about 2**-64 (2**-54 at the top).
+Each gives the outcome of the position's uniform, but no sampler makes one:
+:func:`uniforms_np` serves :class:`TrialStream` and the tests.  The one float
+function of a uniform is the assumption walk's gap, log(1 - u) / log1p(-q)
+rounded down, whose log is spelled out in basic float operations
+(:func:`log1m_uniforms`): numpy's ``log`` and ``log1p`` dispatch per CPU and
+differ from libm's in the last bit on some inputs, so they could not fix a
+layout.  A table rests on libm, whose last bit moves a limit by about 2**11.
 """
 
 from __future__ import annotations
@@ -140,6 +142,14 @@ def index_limit(k: int) -> int:
     :func:`uniform_limit`.
     """
     return -(-(1 << 53) // k) << 11
+
+
+def _cdf_limits(mass: list[float]) -> np.ndarray:
+    """uint64 limits floor(CDF(i) * 2**64) of a mass list: a raw r draws index searchsorted(limits, r, "right").
+
+    The CDF is mass's running sum over its math.fsum total; one that rounds to 1 gets no limit."""
+    cdf = np.cumsum(mass[:-1]) / math.fsum(mass)
+    return np.ldexp(cdf[cdf < 1.0], 64).astype(np.uint64)
 
 
 def to_index(raws: np.ndarray, bound) -> np.ndarray:

@@ -26,21 +26,21 @@ count.  ``_CHUNK_ELEMS`` bounds every transient array and is also the unit of
 parallel work: a call splits only into ranges of at least ``_CHUNK_ELEMS``
 stream positions each, at most one per usable CPU, so a call below two chunks
 runs in the calling thread (a smaller one cannot release the GIL long enough
-for a second thread to pay).  Every array a sampler hashes per block, node or
-request (placement and the protocol plan's rank and coin draws, node pass,
-the first-hit rounds, and a read's placement, drawn only behind its replica
-choice) is one tile of at most ``_CHUNK_ELEMS >> 4`` positions, hashed by
-:meth:`_Tiles.hash` into the two buffers :func:`_sample` makes per thread
+for a second thread to pay).  Every array a sampler hashes per block, trial or
+request (placement and the protocol plan's rank and coin draws, the node
+counts, the first-hit rounds, and a read's placement, drawn only behind its
+replica choice) is one tile of at most ``_CHUNK_ELEMS >> 4`` positions, hashed
+by :meth:`_Tiles.hash` into the two buffers :func:`_sample` makes per thread
 range.  Every assumption and read/write draw runs in the rounds of
 :func:`_rounds`, which own each walk's stream layout, make a round's step
-terms once and lay a tile out as (elements, trials), trials inner, so
-numpy's inner loops run along up to thousands of trials: the node pass, the
-read/write request walk and the block walk, which visits only the blocks
-whose holder 1 is degraded, a Geometric(q) gap apart.  Only protocol
-placement and plan keep tiles of their own.  A read/write round takes each
-trial's first slow request from its tile's flat hit indices, and every r of
-a read/write column is counted from those first requests: one walk serves
-the column.
+terms once and lay a tile out as (elements, trials), trials inner, so numpy's
+inner loops run along up to thousands of trials: a trial's degraded-node
+count, one raw value, the read/write request walk and the block walk, which
+visits only the blocks whose holder 1 is degraded, a Geometric(q) gap apart.
+Only protocol placement and plan keep tiles of their own.  A read/write round
+takes each trial's first slow request from its tile's flat hit indices, and
+every r of a read/write column is counted from those first requests: one walk
+serves the column.
 
 Estimates are keyed by the metric names of :mod:`limpprob.model`.  This module
 and :mod:`limpprob.rng` are the only ones that import numpy; the package root
@@ -55,10 +55,10 @@ import os
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import ANY_BLOCK_DEGRADE, BLOCK_DEGRADE, CLUSTER_DEGRADE, NODE_DEGRADE, _node_target
+from .model import ANY_BLOCK_DEGRADE, BLOCK_DEGRADE, CLUSTER_DEGRADE, NODE_DEGRADE, _binomial_window, _node_target
 from .params import ClusterParams, RegenParams, WorkloadParams, _count
-from .rng import (advance_np, geometric_gaps, index_limit, raws_into, step_terms_np, to_index, trial_states_np,
-                  uniform_limit)
+from .rng import (_cdf_limits, advance_np, geometric_gaps, index_limit, raws_into, step_terms_np, to_index,
+                  trial_states_np, uniform_limit)
 from .stats import EstimateSummary
 
 # The one memory budget: every transient array a sampler fills holds about this
@@ -315,38 +315,31 @@ def run_assumption_trials(
 ) -> dict[str, EstimateSummary]:
     """Estimate the regeneration metrics by sampling the model's assumptions.
 
-    Per trial, each of the n-2 good nodes is degraded when one uniform falls
-    below q, the exact law of >= 2 slow hits among floor(m) +
-    Bernoulli(frac(m)) copy tasks, so the estimates converge to
-    :func:`limpprob.model.assumption_targets` at every b.  The cluster
-    indicator needs all good nodes degraded: the node pass runs in
-    :func:`_rounds` at layout (first, slots) = (0, 1) with no trial done
-    early, and the round that reaches node n - 3 counts the flags its row
-    tiles AND.  Each of the b blocks draws fresh indicators
-    for its two surviving holders, as independent as the closed form
-    assumes: one is degraded (odds q), and the other is the slow node (odds
-    2/(n-1), a uniform survivor pair's) or degraded.  Holder 1's draws are
-    i.i.d. Bernoulli(q), so the block walk skips each run of misses in one
-    Geometric(q) draw (:func:`~limpprob.rng.geometric_gaps`; Vitter's skip,
-    drawn by inversion) and visits only the blocks whose holder 1 is
-    degraded, its hits, drawing holder 2 at each.  A trial's walk stops at
-    its first degraded hit below block b or once past block b - 1; block 0
-    degraded, the per-block indicator, is hit 0 landing on block 0 and
-    degraded.  Hits are drawn in the rounds of :func:`_rounds` at layout
-    (n, 3), the first as wide as a trial's expected hits, in (3, hits,
-    trials) tiles of at most half a hash tile; each round draws the gaps,
-    coins and holder 2 of its hits and carries a trial's blocks passed to
-    the next.  The stream layout is in :mod:`limpprob.rng`; each u < q and
-    u < 2/(n-1) is read as a raw value against its
-    :func:`~limpprob.rng.uniform_limit`.  At q = 0 nothing is drawn, and
-    every count is 0.
+    Each of the n-2 good nodes is degraded with odds q, independently, the
+    exact law of >= 2 slow hits among floor(m) + Bernoulli(frac(m)) copy
+    tasks, so the estimates converge to
+    :func:`limpprob.model.assumption_targets` at every b.  A trial's count of
+    degraded good nodes, Binomial(n-2, q), is one raw value inverted by a
+    table made once per call (:func:`~limpprob.rng._cdf_limits`), and the
+    cluster is degraded when it is n-2.  A count whose odds are below about
+    2**-64 is never drawn: at (50, 2450) the cluster's 2.8e-27 becomes 0.
+    Each block's two surviving holders get fresh indicators, as the closed
+    form assumes: one is degraded (odds q), and the other is the slow node
+    (odds 2/(n-1)) or degraded.  Holder 1's draws are i.i.d. Bernoulli(q), so
+    the block walk skips each run of misses in one Geometric(q) draw
+    (:func:`~limpprob.rng.geometric_gaps`, Vitter's skip) and visits only its
+    hits (blocks whose holder 1 is degraded), drawing holder 2 at each, until
+    its first degraded hit below block b or past block b - 1.  The count and
+    the walk run in the rounds of :func:`_rounds`, at the layouts (0, 1) and
+    (n, 3) of :mod:`limpprob.rng`; each u < q and u < 2/(n-1) is read as a raw
+    value against its :func:`~limpprob.rng.uniform_limit`.
     """
     n, b = params.n, params.b
-    good = n - 2
     q = _node_target(n, b)
     q_limit, coin_limit = uniform_limit(q), uniform_limit(2.0 / (n - 1))
     log1m_q = math.log1p(-q) if q < 1.0 else -math.inf
-    batch = max(1, _CHUNK_ELEMS // good)  # then _CHUNK_ELEMS // live trials >= good: only the tile caps a node round
+    lo, mass = _binomial_window(n - 2, q)  # a trial's count of degraded good nodes is lo + its index in mass
+    limits = _cdf_limits(mass)
     # a walk stops at its first degraded hit, expected after 1/p hits with p = P(holder 2 is the slow node or
     # degraded), or past block b - 1, expected after bq hits: its first round is that wide
     p = 1.0 - (1.0 - 2.0 / (n - 1)) * (1.0 - q)
@@ -359,14 +352,10 @@ def run_assumption_trials(
         for states in batches:
             size, node_hits, cluster_hits, block_hits, any_hits = states.size, 0, 0, 0, 0
             if q > 0.0:  # at q = 0 no node, and no block, is degraded; q > 0 only where m > 1, so b >= n
-                # the node pass: node k reads position k, and no trial is done before its last node
-                nodes = _rounds([states, np.ones(size, dtype=bool)], good, good, _tile(), 0, 1)
-                for k, width, steps, _, alive, cluster in nodes:
-                    degraded = tiles.hash(alive, steps[0]) < q_limit
-                    node_hits += np.count_nonzero(degraded)
-                    cluster &= degraded.all(axis=0)
-                    if k + width == good:
-                        cluster_hits += np.count_nonzero(cluster)
+                for _, _, steps, _, alive in _rounds([states], 1, 1, _tile(), 0, 1):
+                    degraded = lo + np.searchsorted(limits, tiles.hash(alive, steps[0])[0], side="right")
+                    node_hits += degraded.sum()
+                    cluster_hits += np.count_nonzero(degraded == n - 2)
                 # the block walk: hit k of a trial reads n + 3k (gap), n + 3k + 1 (coin) and n + 3k + 2 (holder 2),
                 # and lands on block k or later, so no trial walks more than b hits; passed is a live trial's blocks
                 # up to and including its last hit
@@ -385,10 +374,11 @@ def run_assumption_trials(
                     any_hits += np.count_nonzero(hit)
                     done[:] = hit | (ends[-1] >= b)
                     passed[:] = ends[-1]
-            yield (node_hits, size * good), (cluster_hits, size), (block_hits, size), (any_hits, size)
+            yield (node_hits, size * (n - 2)), (cluster_hits, size), (block_hits, size), (any_hits, size)
 
-    # a trial reads its n - 2 node positions (counted as n: n - 2 and n - 1 go unread), then 3 per hit it walks
-    return _sample(counts, master_seed, trials, workers, n + 3 * hits, batch, _REGEN_METRICS)
+    # a trial reads 1 + 3 * hits positions, and batches of _CHUNK_ELEMS // that keep the live cap of _rounds above hits
+    batch = max(1, _CHUNK_ELEMS // (1 + 3 * hits))
+    return _sample(counts, master_seed, trials, workers, 1 + 3 * hits, batch, _REGEN_METRICS)
 
 
 def run_rw_trials(

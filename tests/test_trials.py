@@ -6,6 +6,8 @@ are several standard errors wide, and every run is deterministic in the
 master seed, so these tests are stable.
 """
 
+import bisect
+import itertools
 import math
 import os
 import subprocess
@@ -33,8 +35,8 @@ from limpprob import (
     run_rw_trials,
     trials,
 )
-from limpprob.rng import TrialStream, index_limit, trial_states_np, uniform_limit, uniforms_np
-from limpprob.model import _node_target, assumption_targets, protocol_targets
+from limpprob.rng import TrialStream, _cdf_limits, index_limit, trial_states_np, uniform_limit, uniforms_np
+from limpprob.model import _binomial_window, _node_target, assumption_targets, protocol_targets
 from limpprob.trials import _partition
 from stream_ref import geometric_gap, index_of, stream_raw, stream_uniform, trial_state, uniforms_of
 
@@ -98,18 +100,19 @@ class TestPartition:
         assert ranges == [[(0, 600)], [(0, 800)]]
 
     def test_assumption_calls_split_by_their_expected_length(self, monkeypatch):
-        # the block walk visits only holder-1 hits and stops at a trial's first degraded one, about 1/p hits in
-        # with p = 1 - (1 - 2/(n-1))(1 - q), or past block b, about bq hits in: at (50, 2450) a trial reads about
-        # 50 + 3 * 4 positions, not n + 3b; at (50, 490) it reads 50 + 3 * 9 = 77 (bq is 8.6), so 2,000 trials
-        # make one chunk, where a walk over every block (50 + 3 * 490 positions) would make two, and 30,000 two
+        # a trial reads one position for its node count, then 3 per hit of a block walk that visits only holder-1
+        # hits and stops at a trial's first degraded one, about 1/p hits in with p = 1 - (1 - 2/(n-1))(1 - q), or
+        # past block b, about bq hits in: at (50, 2450) a trial reads 1 + 3 * 4 positions, not 1 + 3b; at (50, 490)
+        # it reads 1 + 3 * 9 = 28 (bq is 8.6), so a range needs ceil(2**20 / 28) = 37,450 trials: 30,000 trials
+        # make one chunk, where a node position per good node (50 + 3 * 9) would make two, and 80,000 two
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        assert len(_partition(300, 2, 50 + 3 * 2450)) == 2  # the bound n + 3b would split the first call
-        assert len(_partition(2000, 2, 50 + 3 * 490)) == 2
+        assert len(_partition(300, 2, 1 + 3 * 2450)) == 2  # the bound 1 + 3b would split the first call
+        assert len(_partition(30_000, 2, 50 + 3 * 9)) == 2
         ranges = []
         monkeypatch.setattr(trials, "_partition", lambda *args: ranges.append(_partition(*args)) or ranges[-1])
-        for n, b, count in ((50, 2450, 300), (30, 1450, 600), (10, 450, 2000), (50, 490, 2000), (50, 490, 30_000)):
+        for n, b, count in ((50, 2450, 300), (30, 1450, 600), (10, 450, 2000), (50, 490, 30_000), (50, 490, 80_000)):
             run_assumption_trials(RegenParams(n, b), count, master_seed=1, workers=2)
-        assert ranges == [[(0, 300)], [(0, 600)], [(0, 2000)], [(0, 2000)], [(0, 15_000), (15_000, 30_000)]]
+        assert ranges == [[(0, 300)], [(0, 600)], [(0, 2000)], [(0, 30_000)], [(0, 40_000), (40_000, 80_000)]]
 
     @pytest.mark.parametrize("chunks, want", [
         (1, [(0, 8)]),
@@ -163,16 +166,27 @@ def _rw_reference(protocol, n, r, count, seed):
     return count - alive.size
 
 
+def _exact_count_limits(count, q):
+    """floor(CDF(k) * 2**64) for k < count, with CDF Binomial(count, q)'s, in integers from q's exact binary value.
+
+    A raw value r draws bisect_right(limits, r): the inversion the sampler's table must give, written from
+    math.comb and not from the model's pmf window.
+    """
+    a, d = Fraction(q).as_integer_ratio()
+    terms = (math.comb(count, k) * a**k * (d - a) ** (count - k) for k in range(count))
+    return [(cdf << 64) // d**count for cdf in itertools.accumulate(terms)]
+
+
 def _assumption_reference(n, b, count, seed):
     """Scalar replay of the documented assumption stream layout, trial by trial."""
     q = _node_target(n, b)
-    good = n - 2
+    limits = _exact_count_limits(n - 2, q)
     node = cluster = block = any_block = 0
     for t in range(count):
         state = trial_state(seed, t)
-        degraded = [stream_uniform(state, k) < q for k in range(good)]
-        node += sum(degraded)
-        cluster += all(degraded)
+        degraded = bisect.bisect_right(limits, stream_raw(state, 0))  # the count of degraded good nodes
+        node += degraded
+        cluster += degraded == n - 2
         # hit k, a block whose holder 1 is degraded, lies a Geometric(q) gap (n + 3k) past hit k - 1; it is degraded
         # when holder 2 is the slow node (n + 3k + 1, odds 2/(n-1)) or degraded (n + 3k + 2); the walk ends at the
         # first degraded hit or past block b - 1, and block 0 is the per-block draw
@@ -571,6 +585,46 @@ class TestRwColumn:
         _assert_column_matches_the_calls(protocol, n, requests, count, seed, workers=4)
 
 
+class TestNodeCountDraw:
+    """A trial's count of degraded good nodes, Binomial(n - 2, q), is one raw value against a table of limits."""
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_limits_are_the_exact_cdf(self, n):
+        # fractional loads m = (n + 4)/(n - 1) of 1.45 to 2.25 tasks a node (14/9 at (10, 14)), then m = 2, about
+        # 5.5 and 50, where q = 0.99 at (10, 450)
+        for b in (n + 4, 2 * (n - 1), 5 * (n - 1) + (n - 1) // 2, 50 * (n - 1)):
+            q = _node_target(n, b)
+            lo, mass = _binomial_window(n - 2, q)
+            limits = _cdf_limits(mass).tolist()
+            assert limits == sorted(limits)
+            # count k is drawn below its limit: 0 for a count under lo, none (2**64) above the table's last
+            got = ([0] * lo + limits + [2**64] * (n - 2))[: n - 2]
+            for k, (limit, exact) in enumerate(zip(got, _exact_count_limits(n - 2, q))):
+                assert abs(limit - exact) <= 1e-14 * 2**64, (n, b, k)
+
+    @pytest.mark.parametrize("n, b", [(10, 36000), (1000, 4995000)])
+    def test_sampler_replays_the_exact_table_where_counts_start_above_zero(self, n, b):
+        # q = 1 at (10, 36000), so every count is 8 and the table is empty; at (1000, 4995000) q = 0.96 and the pmf
+        # window starts at lo = 563, as counts below it underflow to 0.0
+        est = run_assumption_trials(RegenParams(n, b), 200, master_seed=31)
+        got = [est[m].successes for m in (NODE_DEGRADE, CLUSTER_DEGRADE, BLOCK_DEGRADE, ANY_BLOCK_DEGRADE)]
+        assert got == _assumption_reference(n, b, 200, 31)
+
+    # at (1000, 4995000) the pmf window starts at lo = 563
+    @pytest.mark.parametrize("n, b", [(5, 12), (10, 14), (10, 450), (30, 290), (50, 2450), (1000, 20000),
+                                      (1000, 4995000)])
+    def test_count_mean_and_variance_within_four_sigma(self, n, b):
+        count, draws = n - 2, 200_000
+        q = _node_target(n, b)
+        lo, mass = _binomial_window(count, q)
+        raws = trial_states_np(7, np.arange(draws, dtype=np.int64))  # uniform 64-bit values
+        drawn = lo + np.searchsorted(_cdf_limits(mass), raws, side="right")  # as run_assumption_trials draws
+        var = count * q * (1 - q)
+        fourth = var * (1 + 3 * (count - 2) * q * (1 - q))  # Binomial's fourth central moment
+        assert abs(drawn.mean() - count * q) <= 4 * math.sqrt(var / draws)
+        assert abs(drawn.var() - var) <= 4 * math.sqrt((fourth - var**2) / draws)
+
+
 class TestAssumptionTrials:
     def test_node_anchor(self):
         est = run_assumption_trials(RegenParams(10, 90), 200_000, master_seed=21)
@@ -607,10 +661,10 @@ class TestAssumptionTrials:
 
     def test_matches_scalar_stream_layout(self, monkeypatch):
         # (5, 12): the smallest n, with q = 7/27 and a with-slow coin of odds 1/2.  At a budget of 1 << 12 a hash
-        # tile holds 256 positions: (300, 600)'s node pass runs a round of 256 nodes x 1 trial, then one of 42
-        # nodes x 5 trials (q is about 0), and its first-hit rounds reach 32 blocks x 5 trials, more elements than
-        # trials.  At 16 a tile holds one position, so the node pass runs one round per node, and the cluster,
-        # degraded in 285 of the 300 trials at (10, 450) (q = 0.99) and in 4 at (5, 12), is counted in the last
+        # tile holds 256 positions, and (300, 600)'s first-hit rounds reach 32 blocks x 5 trials, more elements
+        # than trials.  At 16 a tile holds one position, so each trial's node count is its own row tile, and the
+        # cluster, degraded in 273 of the 300 trials at (10, 450) (q = 0.99) and in 3 at (5, 12), is
+        # counted one trial at a time
         for n, b, count, budget in ((10, 50, 300, None), (12, 22, 300, None), (10, 9, 300, None), (7, 0, 300, None),
                                     (5, 12, 300, None), (300, 600, 5, 1 << 12), (10, 450, 300, 16), (5, 12, 300, 16)):
             if budget:
